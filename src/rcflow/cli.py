@@ -99,10 +99,10 @@ def cmd_generate(cfg: cfgmod.ExperimentConfig) -> int:
     _, tar = cfgmod.build_bundles(cfg)
     field = cfgmod.build_field(cfg, scene)
     eps = sample_noise(cfg.seed, cfgmod.build_shape(cfg))
-    output, trace = generate(field, tar, eps, cfgmod.build_schedule(cfg))
+    output, nfe = generate(field, tar, eps, cfgmod.build_schedule(cfg))
     out = _out_dir(cfg)
-    _write_run_outputs(out, output, MetricsReport(nfe=trace.nfe.count))
-    print(f"generate: nfe={trace.nfe.count} out={out}")
+    _write_run_outputs(out, output, MetricsReport(nfe=nfe))
+    print(f"generate: nfe={nfe} out={out}")
     return EXIT_OK
 
 
@@ -160,10 +160,10 @@ def cmd_flowedit(cfg: cfgmod.ExperimentConfig) -> int:
     src, tar = cfgmod.build_bundles(cfg)
     velocity = cfgmod.build_field(cfg, scene)
     z0 = cfgmod.build_input(cfg, scene, src)
-    output, trace = flowedit_run(velocity, z0, src, tar, cfgmod.build_flowedit_config(cfg))
+    output, nfe = flowedit_run(velocity, z0, src, tar, cfgmod.build_flowedit_config(cfg))
     out = _out_dir(cfg)
-    _write_run_outputs(out, output, MetricsReport(nfe=trace.nfe.count))
-    print(f"flowedit: nfe={trace.nfe.count} out={out}")
+    _write_run_outputs(out, output, MetricsReport(nfe=nfe))
+    print(f"flowedit: nfe={nfe} out={out}")
     return EXIT_OK
 
 

@@ -363,27 +363,37 @@ def _resolve(cfg: ExperimentConfig, relative: str) -> Path:
     return path if path.is_absolute() else cfg.base_dir / path
 
 
-def _load_optional(cfg: ExperimentConfig, key: str, relative: str | None) -> LatentField | None:
+def _load_optional(
+    cfg: ExperimentConfig, key: str, relative: str | None, expected: Shape
+) -> LatentField | None:
     if relative is None:
         return None
     try:
-        return read_stack(_resolve(cfg, relative))
+        loaded = read_stack(_resolve(cfg, relative))
     except OSError as exc:
         raise ConfigError(f"key '{key}': cannot read {relative}: {exc}") from exc
+    if loaded.shape != expected:
+        raise ConfigError(
+            f"key '{key}': stack shape {loaded.shape} does not match expected shape {expected}"
+        )
+    return loaded
 
 
 def build_bundles(cfg: ExperimentConfig) -> tuple[ConditionBundle, ConditionBundle]:
+    shape = build_shape(cfg)
+    # a reference file anchors frame 0 only, so it holds a single frame
+    frame = Shape(1, shape.channels, shape.height, shape.width)
     src = ConditionBundle(
         illum_params=cfg.src_illum,
         agnostic_params=cfg.src_agnostic,
-        reference_frame=_load_optional(cfg, "src.reference_file", cfg.src_reference_file),
-        structural=_load_optional(cfg, "src.structural_file", cfg.src_structural_file),
+        reference_frame=_load_optional(cfg, "src.reference_file", cfg.src_reference_file, frame),
+        structural=_load_optional(cfg, "src.structural_file", cfg.src_structural_file, shape),
     )
     tar = ConditionBundle(
         illum_params=cfg.tar_illum,
         agnostic_params=cfg.tar_agnostic,
-        reference_frame=_load_optional(cfg, "tar.reference_file", cfg.tar_reference_file),
-        structural=_load_optional(cfg, "tar.structural_file", cfg.tar_structural_file),
+        reference_frame=_load_optional(cfg, "tar.reference_file", cfg.tar_reference_file, frame),
+        structural=_load_optional(cfg, "tar.structural_file", cfg.tar_structural_file, shape),
     )
     return src, tar
 

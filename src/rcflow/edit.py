@@ -21,9 +21,8 @@ import numpy as np
 
 from .engine import (
     ConditionBundle,
-    NfeCounter,
-    RunTrace,
     Schedule,
+    StepObserver,
     VelocityField,
     checked_evaluate,
     euler_step,
@@ -70,8 +69,6 @@ class EditReport:
     nfe: int
     residual_recomputations: int
     per_step_residual_norm: list[float] = dc_field(default_factory=list)
-    src_trace: RunTrace = dc_field(default_factory=RunTrace)
-    edit_trace: RunTrace = dc_field(default_factory=RunTrace)
 
 
 def restoration_velocity(z0: LatentField, eps: LatentField) -> LatentField:
@@ -89,7 +86,6 @@ def consistency_residual(
     eps: LatentField,
     t: float,
     c_src: ConditionBundle,
-    nfe: NfeCounter | None = None,
 ) -> LatentField:
     """Restoration velocity minus the model's source prediction at level t.
 
@@ -101,7 +97,7 @@ def consistency_residual(
         raise ValueError(f"t must lie in (0, 1], got {t}")
     v0 = restoration_velocity(z0, eps)
     z_t = lerp_noise(z0, eps, t)
-    v_src = checked_evaluate(field, z_t, t, c_src, nfe if nfe is not None else NfeCounter())
+    v_src = checked_evaluate(field, z_t, t, c_src)
     try:
         return LatentField(v0.data - v_src.data)
     except NumericError as exc:
@@ -132,6 +128,7 @@ def run_edit(
     c_tar: ConditionBundle,
     eps: LatentField,
     config: EditConfig,
+    on_step: StepObserver | None = None,
 ) -> EditReport:
     """Drive a full residual-corrected edit of z0 toward the target condition.
 
@@ -142,6 +139,7 @@ def run_edit(
     source path's high-frequency detail inside the mask.
 
     Total evaluations: N target calls plus ceil(N/r) residual refreshes.
+    on_step, when given, sees the edit latent at t=1 and after every step.
     """
     if z0.data.shape != eps.data.shape:
         raise ShapeMismatchError(f"run_edit: shapes {z0.data.shape} and {eps.data.shape} differ")
@@ -154,25 +152,23 @@ def run_edit(
     r = config.reuse_interval
     mask = config.mask
 
-    src_trace = RunTrace()
-    edit_trace = RunTrace()
     residual_norms: list[float] = []
 
     z_edit = eps
-    edit_trace.record(knots[-1], z_edit)
+    if on_step is not None:
+        on_step(float(knots[-1]), z_edit)
     residual: LatentField | None = None
     recomputations = 0
 
     for i in range(steps, 0, -1):
         t_hi, t_lo = knots[i], knots[i - 1]
         if (steps - i) % r == 0:
-            residual = consistency_residual(field, z0, eps, t_hi, c_src, src_trace.nfe)
-            src_trace.record(t_hi, lerp_noise(z0, eps, t_hi))
+            residual = consistency_residual(field, z0, eps, t_hi, c_src)
             recomputations += 1
         assert residual is not None
         residual_norms.append(_rms(residual.data))
 
-        v_tar = checked_evaluate(field, z_edit, t_hi, c_tar, edit_trace.nfe)
+        v_tar = checked_evaluate(field, z_edit, t_hi, c_tar)
         try:
             v_edit = residual_corrected_velocity(v_tar, residual, mask)
             z_edit = euler_step(z_edit, t_hi, t_lo, v_edit)
@@ -182,14 +178,13 @@ def run_edit(
                 )
         except NumericError as exc:
             raise NumericError(f"edit latent became non-finite stepping to t={t_lo}") from exc
-        edit_trace.record(t_lo, z_edit)
+        if on_step is not None:
+            on_step(float(t_lo), z_edit)
 
     assert recomputations == math.ceil(steps / r)
     return EditReport(
         output=z_edit,
-        nfe=edit_trace.nfe.count + src_trace.nfe.count,
+        nfe=steps + recomputations,
         residual_recomputations=recomputations,
         per_step_residual_norm=residual_norms,
-        src_trace=src_trace,
-        edit_trace=edit_trace,
     )

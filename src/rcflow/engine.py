@@ -8,7 +8,8 @@ ever evaluated at the upper knot of each step, so t=0 is never requested
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,36 +98,8 @@ class VelocityField:
         raise NotImplementedError
 
 
-class NfeCounter:
-    """Monotone count of velocity-field evaluations within one run."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def increment(self, n: int = 1) -> None:
-        self.count += n
-
-    def __repr__(self) -> str:
-        return f"NfeCounter({self.count})"
-
-
-@dataclass
-class RunTrace:
-    """Trajectory snapshots (t, latent) from t=1 down toward t=0, plus NFE."""
-
-    snapshots: list[tuple[float, LatentField]] = dc_field(default_factory=list)
-    nfe: NfeCounter = dc_field(default_factory=NfeCounter)
-
-    def record(self, t: float, z: LatentField) -> None:
-        if self.snapshots and t >= self.snapshots[-1][0]:
-            raise ValueError("snapshot timesteps must strictly decrease")
-        self.snapshots.append((float(t), z))
-
-    @property
-    def final(self) -> LatentField:
-        return self.snapshots[-1][1]
+# called with (t, latent) at t=1 and after every Euler step, t strictly decreasing
+StepObserver = Callable[[float, LatentField], None]
 
 
 def checked_evaluate(
@@ -134,14 +107,12 @@ def checked_evaluate(
     z: LatentField,
     t: float,
     c: ConditionBundle,
-    nfe: NfeCounter,
 ) -> LatentField:
-    """Evaluate a velocity field, count it, and abort loudly on a bad output."""
+    """Evaluate a velocity field and abort loudly on a bad output."""
     try:
         v = field.evaluate(z, t, c)
     except NumericError as exc:
         raise NumericError(f"velocity field failed at t={t}: {exc}") from exc
-    nfe.increment()
     if not isinstance(v, LatentField) or v.data.shape != z.data.shape:
         raise ShapeMismatchError(f"velocity field returned an invalid output at t={t}")
     return v
@@ -167,21 +138,25 @@ def generate(
     c: ConditionBundle,
     eps: LatentField,
     schedule: Schedule,
-) -> tuple[LatentField, RunTrace]:
+    on_step: StepObserver | None = None,
+) -> tuple[LatentField, int]:
     """Integrate the field from noise at t=1 to a sample at t=0.
 
-    Exactly schedule.steps field evaluations are spent, one per step at the
-    step's upper knot.
+    Returns the sample and the number of field evaluations spent: exactly
+    schedule.steps, one per step at the step's upper knot.
     """
-    trace = RunTrace()
     knots = schedule.knots
     z = eps
-    trace.record(knots[-1], z)
+    nfe = 0
+    if on_step is not None:
+        on_step(float(knots[-1]), z)
     for i in range(schedule.steps, 0, -1):
-        v = checked_evaluate(field, z, knots[i], c, trace.nfe)
+        v = checked_evaluate(field, z, knots[i], c)
+        nfe += 1
         try:
             z = euler_step(z, knots[i], knots[i - 1], v)
         except NumericError as exc:
             raise NumericError(f"latent became non-finite stepping to t={knots[i - 1]}") from exc
-        trace.record(knots[i - 1], z)
-    return z, trace
+        if on_step is not None:
+            on_step(float(knots[i - 1]), z)
+    return z, nfe

@@ -17,14 +17,13 @@ import numpy as np
 from .edit import EditConfig, run_edit
 from .engine import (
     ConditionBundle,
-    RunTrace,
     Schedule,
+    StepObserver,
     VelocityField,
     checked_evaluate,
     euler_step,
     sample_noise,
 )
-from .errors import ShapeMismatchError
 from .latent import LatentField, Mask, lerp_noise, rel_error
 from .rng import derive_seed
 
@@ -61,15 +60,17 @@ def flowedit_run(
     c_src: ConditionBundle,
     c_tar: ConditionBundle,
     config: FlowEditConfig,
-) -> tuple[LatentField, RunTrace]:
+    on_step: StepObserver | None = None,
+) -> tuple[LatentField, int]:
     """Evolve the edit latent from z0 at t=1 down to the result at t=0.
 
     Per step and per draw: the source point is the interpolation of z0 with
     the drawn noise, the predicted target point shifts that by the current
     edit displacement, and the step velocity is the (averaged) target minus
-    source prediction gap. Costs 2 * n_avg field evaluations per step.
+    source prediction gap. Returns the result and the number of field
+    evaluations spent, 2 * n_avg per step. on_step, when given, sees the
+    edit latent at t=1 and after every step.
     """
-    trace = RunTrace()
     knots = config.schedule.knots
     steps = config.schedule.steps
     shape = z0.shape
@@ -77,7 +78,9 @@ def flowedit_run(
     fixed_eps = sample_noise(config.seed, shape) if config.noise_mode is NoiseMode.FIXED else None
 
     z_edit = z0
-    trace.record(knots[-1], z_edit)
+    nfe = 0
+    if on_step is not None:
+        on_step(float(knots[-1]), z_edit)
     for i in range(steps, 0, -1):
         t_hi, t_lo = knots[i], knots[i - 1]
         total = np.zeros(z0.data.shape)
@@ -92,12 +95,14 @@ def flowedit_run(
                 eps_t = sample_noise(derive_seed(config.seed, i, draw), shape)
             z_t = lerp_noise(z0, eps_t, t_hi)
             z_pred = LatentField(z_t.data + displacement)
-            v_tar = checked_evaluate(field, z_pred, t_hi, c_tar, trace.nfe)
-            v_src = checked_evaluate(field, z_t, t_hi, c_src, trace.nfe)
+            v_tar = checked_evaluate(field, z_pred, t_hi, c_tar)
+            v_src = checked_evaluate(field, z_t, t_hi, c_src)
+            nfe += 2
             total += v_tar.data - v_src.data
         z_edit = euler_step(z_edit, t_hi, t_lo, LatentField(total / config.n_avg))
-        trace.record(t_lo, z_edit)
-    return z_edit, trace
+        if on_step is not None:
+            on_step(float(t_lo), z_edit)
+    return z_edit, nfe
 
 
 @dataclass(frozen=True)
@@ -136,17 +141,15 @@ def equivalence_check(
 ) -> EquivalenceReport:
     """Compare fixed-noise editing against the residual-corrected run.
 
-    Both runs share the noise derived from `seed`. The fixed-noise
-    predicted-sample trajectory is reconstructed from the edit-latent trace
-    and matched knot-by-knot against the residual-corrected trajectory
-    (full mask, no detail transfer, residual refreshed every step); the
-    check passes iff every relative deviation stays within tol.
+    Both runs share the noise derived from `seed` and walk the same
+    schedule. The residual-corrected trajectory (full mask, no detail
+    transfer, residual refreshed every step) is kept knot by knot; the
+    fixed-noise run then reconstructs its predicted-sample trajectory as
+    it steps and matches it against that. The check passes iff every
+    relative deviation stays within tol.
     """
     if tol < 0.0:
         raise ValueError(f"tol must be >= 0, got {tol}")
-    fe_config = FlowEditConfig(schedule=schedule, noise_mode=NoiseMode.FIXED, n_avg=1, seed=seed)
-    _, fe_trace = flowedit_run(field, z0, c_src, c_tar, fe_config)
-
     eps = sample_noise(seed, z0.shape)
     edit_config = EditConfig(
         schedule=schedule,
@@ -155,22 +158,27 @@ def equivalence_check(
         hf_lambda=0.0,
         hf_enabled=False,
     )
-    report = run_edit(field, z0, c_src, c_tar, eps, edit_config)
+    edit_latents: list[LatentField] = []
+    report = run_edit(
+        field, z0, c_src, c_tar, eps, edit_config, lambda t, z: edit_latents.append(z)
+    )
 
     timesteps: list[float] = []
     deviations: list[float] = []
-    for (t_fe, z_fe), (t_ed, z_ed) in zip(fe_trace.snapshots, report.edit_trace.snapshots):
-        if t_fe != t_ed:
-            raise ShapeMismatchError(f"trajectory knots diverge: {t_fe} vs {t_ed}")
-        z_pred = LatentField(lerp_noise(z0, eps, t_fe).data + (z_fe.data - z0.data))
-        timesteps.append(t_fe)
-        deviations.append(rel_error(z_pred, z_ed))
+
+    def compare(t: float, z_fe: LatentField) -> None:
+        z_pred = LatentField(lerp_noise(z0, eps, t).data + (z_fe.data - z0.data))
+        deviations.append(rel_error(z_pred, edit_latents[len(timesteps)]))
+        timesteps.append(t)
+
+    fe_config = FlowEditConfig(schedule=schedule, noise_mode=NoiseMode.FIXED, n_avg=1, seed=seed)
+    _, fe_nfe = flowedit_run(field, z0, c_src, c_tar, fe_config, compare)
     passed = all(d <= tol for d in deviations)
     return EquivalenceReport(
         timesteps=tuple(timesteps),
         deviations=tuple(deviations),
         tol=float(tol),
         passed=passed,
-        flowedit_nfe=fe_trace.nfe.count,
+        flowedit_nfe=fe_nfe,
         edit_nfe=report.nfe,
     )

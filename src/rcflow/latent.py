@@ -147,7 +147,6 @@ class FreqSplit:
 
     low: LatentField
     high: LatentField
-    threshold: float
 
 
 def _require_same_shape(x: LatentField, y: LatentField, op: str) -> None:
@@ -222,7 +221,7 @@ def freq_decompose(x: LatentField, rho: float) -> FreqSplit:
     spectrum = np.fft.fft2(x.data, axes=(-2, -1))
     low = np.fft.ifft2(spectrum * low_bins, axes=(-2, -1)).real
     high = np.fft.ifft2(spectrum * ~low_bins, axes=(-2, -1)).real
-    return FreqSplit(LatentField(low), LatentField(high), rho)
+    return FreqSplit(LatentField(low), LatentField(high))
 
 
 def hf_transfer(

@@ -112,8 +112,7 @@ def test_03_nfe_accounting():
             n_avg=n,
             seed=CAL_EPS_SEED,
         )
-        _, trace = flowedit_run(field, z0, SRC, TAR, config)
-        fe_observed[n] = trace.nfe.count
+        _, fe_observed[n] = flowedit_run(field, z0, SRC, TAR, config)
     assert fe_observed == {1: 100, 2: 200}
     _report(3, f"edit nfe {observed} and flowedit nfe {fe_observed} match exactly")
 

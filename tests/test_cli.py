@@ -175,6 +175,21 @@ class TestCliContract:
         config = write_config(tmp_path, BASE_CONFIG + "input = input.fps\n")
         assert run("edit", config, tmp_path / "inp") == 0
 
+    @pytest.mark.parametrize(
+        "key,shape",
+        [
+            ("src.structural_file", Shape(1, 1, 4, 4)),
+            ("tar.structural_file", Shape(2, 1, 16, 8)),
+            ("src.reference_file", Shape(2, 1, 16, 16)),
+            ("tar.reference_file", Shape(1, 1, 8, 8)),
+        ],
+    )
+    def test_misshaped_condition_stack_is_config_error(self, tmp_path, capsys, key, shape):
+        write_stack(tmp_path / "cond.fps", sample_noise(22, shape))
+        config = write_config(tmp_path, BASE_CONFIG + f"{key} = cond.fps\n")
+        assert run("edit", config, tmp_path / "cond") == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch):
         from rcflow import cli
         from rcflow.errors import NumericError

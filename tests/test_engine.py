@@ -4,8 +4,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from rcflow.engine import (
     ConditionBundle,
-    NfeCounter,
-    RunTrace,
     Schedule,
     VelocityField,
     consistent_pair,
@@ -103,23 +101,23 @@ class TestGenerate:
     def test_constant_field_telescopes(self):
         k = sample_noise(6, SHAPE)
         eps = sample_noise(7, SHAPE)
-        out, trace = generate(constant_field(k), SRC, eps, make_uniform_schedule(13))
+        out, nfe = generate(constant_field(k), SRC, eps, make_uniform_schedule(13))
         assert_allclose(out.data, eps.data + k.data, atol=1e-12)
-        assert trace.nfe.count == 13
+        assert nfe == 13
 
     def test_point_field_is_exact(self):
         scene = ToyScene(SHAPE)
         target = render_target(scene, SRC)
         eps = sample_noise(8, SHAPE)
-        out, trace = generate(point_field(scene), SRC, eps, make_uniform_schedule(50))
+        out, nfe = generate(point_field(scene), SRC, eps, make_uniform_schedule(50))
         assert np.max(np.abs(out.data - target.data)) <= 1e-5 * (1.0 + target.max_abs())
-        assert trace.nfe.count == 50
+        assert nfe == 50
 
     @pytest.mark.parametrize("steps", [1, 3, 20])
     def test_nfe_equals_step_count(self, steps):
         eps = sample_noise(9, SHAPE)
-        _, trace = generate(constant_field(eps), SRC, eps, make_uniform_schedule(steps))
-        assert trace.nfe.count == steps
+        _, nfe = generate(constant_field(eps), SRC, eps, make_uniform_schedule(steps))
+        assert nfe == steps
 
     def test_deterministic_and_condition_stable(self):
         scene = ToyScene(SHAPE)
@@ -130,14 +128,6 @@ class TestGenerate:
         out1, _ = generate(point_field(scene), SRC, eps, make_uniform_schedule(10))
         out2, _ = generate(point_field(scene), src_twin, eps, make_uniform_schedule(10))
         assert out1.data.tobytes() == out2.data.tobytes()
-
-    def test_trace_timesteps_strictly_decreasing(self):
-        eps = sample_noise(11, SHAPE)
-        _, trace = generate(constant_field(eps), SRC, eps, make_uniform_schedule(7))
-        ts = [t for t, _ in trace.snapshots]
-        assert ts[0] == 1.0
-        assert ts[-1] == 0.0
-        assert all(a > b for a, b in zip(ts, ts[1:]))
 
     def test_bad_field_output_names_timestep(self):
         class WrongShape(VelocityField):
@@ -197,16 +187,3 @@ class TestConditionBundle:
         with pytest.raises(ShapeMismatchError):
             ConditionBundle(reference_frame=LatentField.zeros(Shape(2, 1, 4, 4)))
 
-
-def test_run_trace_rejects_non_decreasing():
-    trace = RunTrace()
-    trace.record(1.0, LatentField.zeros(SHAPE))
-    with pytest.raises(ValueError):
-        trace.record(1.0, LatentField.zeros(SHAPE))
-
-
-def test_nfe_counter_monotone():
-    counter = NfeCounter()
-    counter.increment()
-    counter.increment(3)
-    assert counter.count == 4

@@ -58,8 +58,8 @@ class TestFlowEditRun:
     def test_fixed_noise_nfe(self):
         _, field, z0 = scene_setup()
         config = FlowEditConfig(schedule=make_uniform_schedule(50), seed=5)
-        _, trace = flowedit_run(field, z0, SRC, TAR, config)
-        assert trace.nfe.count == 100
+        _, nfe = flowedit_run(field, z0, SRC, TAR, config)
+        assert nfe == 100
 
     @pytest.mark.parametrize("n_avg,expected", [(1, 100), (2, 200)])
     def test_fresh_noise_nfe(self, n_avg, expected):
@@ -70,8 +70,8 @@ class TestFlowEditRun:
             n_avg=n_avg,
             seed=5,
         )
-        _, trace = flowedit_run(field, z0, SRC, TAR, config)
-        assert trace.nfe.count == expected
+        _, nfe = flowedit_run(field, z0, SRC, TAR, config)
+        assert nfe == expected
 
     def test_fixed_mode_requires_single_draw(self):
         with pytest.raises(ValueError):
@@ -126,7 +126,7 @@ class TestEquivalence:
         fe = FlowEditConfig(
             schedule=make_uniform_schedule(50), noise_mode=NoiseMode.FRESH_PER_STEP, seed=7
         )
-        _, fe_trace = flowedit_run(field, z0, SRC, TAR, fe)
+        _, fe_nfe = flowedit_run(field, z0, SRC, TAR, fe)
         eps = sample_noise(7, SHAPE)
         report = run_edit(
             field,
@@ -138,7 +138,7 @@ class TestEquivalence:
                 schedule=make_uniform_schedule(50), mask=Mask.ones(SHAPE), reuse_interval=10
             ),
         )
-        assert fe_trace.nfe.count == 100
+        assert fe_nfe == 100
         assert report.nfe == 55
 
     def test_fresh_mode_is_not_equivalent(self):
@@ -151,12 +151,10 @@ class TestEquivalence:
         fresh = FlowEditConfig(
             schedule=schedule, noise_mode=NoiseMode.FRESH_PER_STEP, n_avg=1, seed=11
         )
-        _, fixed_trace = flowedit_run(field, z0, SRC, TAR, fixed)
-        _, fresh_trace = flowedit_run(field, z0, SRC, TAR, fresh)
-        gaps = [
-            rel_error(zf, zx)
-            for (_, zf), (_, zx) in zip(fresh_trace.snapshots, fixed_trace.snapshots)
-        ]
+        fixed_path, fresh_path = [], []
+        flowedit_run(field, z0, SRC, TAR, fixed, lambda t, z: fixed_path.append(z))
+        flowedit_run(field, z0, SRC, TAR, fresh, lambda t, z: fresh_path.append(z))
+        gaps = [rel_error(zf, zx) for zf, zx in zip(fresh_path, fixed_path)]
         assert max(gaps) > 1e-3
 
     def test_report_lines_are_complete(self):
