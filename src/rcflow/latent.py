@@ -9,6 +9,7 @@ never have to re-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -168,15 +169,6 @@ def _require_unit(value: float, name: str) -> float:
     return value
 
 
-def axpy(a: float, x: LatentField, y: LatentField) -> LatentField:
-    """Elementwise a*x + y. Exact identity at a == 0."""
-    _require_same_shape(x, y, "axpy")
-    a = float(a)
-    if a == 0.0:
-        return y
-    return LatentField(a * x.data + y.data)
-
-
 def lerp_noise(z0: LatentField, eps: LatentField, t: float) -> LatentField:
     """Straight-line interpolation (1-t)*z0 + t*eps; exact at both endpoints."""
     _require_same_shape(z0, eps, "lerp_noise")
@@ -224,6 +216,19 @@ def freq_decompose(x: LatentField, rho: float) -> FreqSplit:
     return FreqSplit(LatentField(low), LatentField(high))
 
 
+@lru_cache(maxsize=None)
+def _high_half_bins(height: int, width: int, rho: float) -> np.ndarray:
+    """Read-only HIGH-band mask over the rfft2 half spectrum (width//2 + 1 columns).
+
+    The same bins as freq_decompose's HIGH band, which is symmetric under
+    k -> n-k, so the half spectrum carries all of it.
+    """
+    radial = _radial_frequencies(height, width)
+    high = (radial > rho * radial.max())[:, : width // 2 + 1]
+    high.flags.writeable = False
+    return high
+
+
 def hf_transfer(
     z_edit: LatentField,
     z_src: LatentField,
@@ -234,8 +239,10 @@ def hf_transfer(
     """Replace a lambda*mask share of z_edit's spatial detail with z_src's.
 
     Returns LF(z_edit) + lambda*M*HF(z_src) + (1 - lambda*M)*HF(z_edit).
-    lambda == 0 is the exact (bitwise) identity; transferring a field onto
-    itself is the identity up to transform rounding.
+    LF + HF is the identity and HF is linear, so this is computed as
+    z_edit + lambda*M*HF(z_src - z_edit) with one real transform pair.
+    lambda == 0 returns z_edit itself (bitwise identity); a zero mask and
+    transferring a field onto itself return z_edit's values exactly.
     """
     _require_same_shape(z_edit, z_src, "hf_transfer")
     _require_mask_fits(mask, z_edit, "hf_transfer")
@@ -243,15 +250,13 @@ def hf_transfer(
     rho = _require_unit(rho, "rho")
     if hf_lambda == 0.0:
         return z_edit
-    edit_split = freq_decompose(z_edit, rho)
-    src_split = freq_decompose(z_src, rho)
-    weight = hf_lambda * mask.data
-    blended = (
-        edit_split.low.data
-        + weight * src_split.high.data
-        + (1.0 - weight) * edit_split.high.data
-    )
-    return LatentField(blended)
+    h, w = z_edit.data.shape[2:]
+    spectrum = np.fft.rfft2(z_src.data - z_edit.data)
+    spectrum *= _high_half_bins(h, w, rho)
+    detail = np.fft.irfft2(spectrum, s=(h, w))
+    detail *= hf_lambda * mask.data
+    detail += z_edit.data
+    return LatentField(detail)
 
 
 def _pool_weights(src: int, dst: int) -> np.ndarray:

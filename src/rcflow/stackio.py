@@ -9,6 +9,7 @@ trips within 1e-6 relative, which is all the desk-scale experiments need.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -20,17 +21,39 @@ MAGIC = "FPSTACK"
 VERSION = "1"
 
 
-def format_stack(field: LatentField) -> str:
+def _stack_lines(field: LatentField) -> Iterator[str]:
+    """Header and payload lines, newline-terminated, one formatted pixel row at a time.
+
+    `"%.9g" % v` and `f"{v:.9g}"` use the same float formatter; converting
+    one row at a time keeps no Python float list of the whole stack alive.
+    """
     f, c, h, w = field.data.shape
-    lines = [f"{MAGIC} {VERSION} {f} {c} {h} {w}"]
-    rows = field.data.reshape(f * c * h, w)
-    for row in rows:
-        lines.append(" ".join(f"{v:.9g}" for v in row))
-    return "\n".join(lines) + "\n"
+    yield f"{MAGIC} {VERSION} {f} {c} {h} {w}\n"
+    row_format = " ".join(["%.9g"] * w) + "\n"
+    for row in field.data.reshape(f * c * h, w):
+        yield row_format % tuple(row.tolist())
+
+
+def format_stack(field: LatentField) -> str:
+    return "".join(_stack_lines(field))
 
 
 def write_stack(path: str | os.PathLike, field: LatentField) -> None:
-    Path(path).write_text(format_stack(field), encoding="ascii")
+    """Write a stack file atomically: all of it replaces path, or path is untouched.
+
+    The lines go to a temporary file in path's directory, which is renamed
+    over path once complete and removed if anything fails before that.
+    """
+    target = Path(path)
+    partial = target.with_name(f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    handle = open(partial, "x", encoding="ascii")
+    try:
+        with handle:
+            handle.writelines(_stack_lines(field))
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def parse_stack(text: str, *, source: str = "<string>") -> LatentField:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rcflow.errors import NumericError, ShapeMismatchError
@@ -7,7 +10,6 @@ from rcflow.latent import (
     LatentField,
     Mask,
     Shape,
-    axpy,
     downsample_mask,
     freq_decompose,
     hf_transfer,
@@ -72,33 +74,6 @@ class TestMask:
         field = LatentField.zeros(Shape(2, 3, 4, 4))
         assert mask.broadcasts_over(field)
         assert not mask.broadcasts_over(LatentField.zeros(Shape(2, 3, 4, 8)))
-
-
-class TestAxpy:
-    def test_zero_coefficient_is_identity(self):
-        x = random_field(1, (1, 1, 3, 3))
-        y = random_field(2, (1, 1, 3, 3))
-        assert axpy(0.0, x, y) is y
-
-    def test_additive_inverse(self):
-        y = random_field(3, (1, 2, 4, 4))
-        x = LatentField(-y.data)
-        assert_array_equal(axpy(1.0, x, y).data, np.zeros_like(y.data))
-
-    def test_forced_by_definition(self):
-        x = field_from([2.0, 4.0], (1, 1, 1, 2))
-        y = field_from([1.0, 1.0], (1, 1, 1, 2))
-        assert_allclose(axpy(0.1, x, y).data.ravel(), [1.2, 1.4])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            axpy(1.0, LatentField.zeros(Shape(1, 1, 2, 2)), LatentField.zeros(Shape(1, 1, 2, 3)))
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_overflow_is_numeric_error(self):
-        x = LatentField.full(Shape(1, 1, 1, 1), 1e308)
-        with pytest.raises(NumericError):
-            axpy(10.0, x, x)
 
 
 class TestLerpNoise:
@@ -188,13 +163,13 @@ class TestHfTransfer:
         z = random_field(15, (2, 1, 8, 8))
         mask = Mask(np.full((2, 1, 8, 8), 0.7))
         out = hf_transfer(z, z, mask, 0.9, 0.5)
-        assert rel_error(out, z) <= 1e-6
+        assert_array_equal(out.data, z.data)
 
     def test_zero_mask_keeps_edit(self):
         z = random_field(16, (1, 1, 8, 8))
         src = random_field(17, (1, 1, 8, 8))
         out = hf_transfer(z, src, Mask.zeros(z.shape), 1.0, 0.8)
-        assert rel_error(out, z) <= 1e-6
+        assert_array_equal(out.data, z.data)
 
     def test_full_transfer_swaps_high_band(self):
         z = random_field(18, (1, 1, 8, 8))
@@ -208,6 +183,54 @@ class TestHfTransfer:
         z = random_field(20, (1, 1, 4, 4))
         with pytest.raises(ValueError):
             hf_transfer(z, z, Mask.ones(z.shape), 1.5, 0.5)
+
+
+def reference_hf_transfer(z_edit, z_src, mask, hf_lambda, rho):
+    """LF(e) + lambda*M*HF(s) + (1 - lambda*M)*HF(e), straight from freq_decompose."""
+    edit_split = freq_decompose(z_edit, rho)
+    src_split = freq_decompose(z_src, rho)
+    weight = hf_lambda * mask.data
+    return edit_split.low.data + weight * src_split.high.data + (1.0 - weight) * edit_split.high.data
+
+
+@st.composite
+def transfer_cases(draw):
+    """Edit and source fields, a fractional mask, lambda in (0, 1] and rho in [0, 1].
+
+    Extents run from 1 to 9, so odd and length-1 spatial axes are common.
+    """
+    f, c, h, w = (draw(st.integers(1, hi)) for hi in (3, 3, 9, 9))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    z_edit = LatentField(draw(hnp.arrays(np.float64, (f, c, h, w), elements=values)))
+    z_src = LatentField(draw(hnp.arrays(np.float64, (f, c, h, w), elements=values)))
+    mask = Mask(draw(hnp.arrays(np.float64, (f, 1, h, w), elements=st.floats(0.0, 1.0))))
+    hf_lambda = draw(st.floats(0.0, 1.0, exclude_min=True))
+    rho = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    return z_edit, z_src, mask, hf_lambda, rho
+
+
+class TestHfTransferProperties:
+    @settings(deadline=None)
+    @given(transfer_cases())
+    def test_matches_freq_decompose_reference(self, case):
+        z_edit, z_src, mask, hf_lambda, rho = case
+        out = hf_transfer(z_edit, z_src, mask, hf_lambda, rho)
+        expected = reference_hf_transfer(z_edit, z_src, mask, hf_lambda, rho)
+        bound = 1e-12 * (1.0 + max(z_edit.max_abs(), z_src.max_abs()))
+        assert np.max(np.abs(out.data - expected)) <= bound
+
+    @settings(deadline=None)
+    @given(transfer_cases())
+    def test_self_transfer_is_exact(self, case):
+        z, _, mask, hf_lambda, rho = case
+        assert_array_equal(hf_transfer(z, z, mask, hf_lambda, rho).data, z.data)
+
+    @settings(deadline=None)
+    @given(transfer_cases())
+    def test_zero_mask_is_exact(self, case):
+        z_edit, z_src, mask, hf_lambda, rho = case
+        out = hf_transfer(z_edit, z_src, Mask(np.zeros_like(mask.data)), hf_lambda, rho)
+        assert_array_equal(out.data, z_edit.data)
 
 
 class TestDownsampleMask:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rcflow.stackio as stackio
 from rcflow.engine import sample_noise
 from rcflow.errors import ConfigError
 from rcflow.latent import LatentField, Shape
@@ -40,6 +41,49 @@ def test_write_is_deterministic(tmp_path):
     write_stack(a, field)
     write_stack(b, field)
     assert a.read_bytes() == b.read_bytes()
+
+
+def per_value_stack_text(field):
+    """The writer's reference: every value formatted on its own with f"{v:.9g}"."""
+    f, c, h, w = field.data.shape
+    lines = [f"FPSTACK 1 {f} {c} {h} {w}"]
+    for row in field.data.reshape(f * c * h, w):
+        lines.append(" ".join(f"{v:.9g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-5, -1e-5, 3.0, -42.0, 1e16, 0.1, 2.0 / 3.0]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.array(EDGE_VALUES).reshape(1, 1, 1, 13),
+        np.array(EDGE_VALUES).reshape(1, 1, 13, 1),
+        np.array(EDGE_VALUES[:12]).reshape(1, 3, 2, 2),
+        sample_noise(6, Shape(2, 3, 5, 7)).data,
+    ],
+    ids=["odd-width", "width-1", "multi-axis", "noise"],
+)
+def test_format_matches_per_value_writer(data):
+    field = LatentField(data)
+    assert format_stack(field).encode("ascii") == per_value_stack_text(field).encode("ascii")
+
+
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "output.fps"
+    write_stack(path, sample_noise(7, Shape(1, 1, 4, 4)))
+    before = path.read_bytes()
+
+    def failing_lines(field):
+        yield "FPSTACK 1 1 1 4 4\n"
+        raise RuntimeError("formatting failed")
+
+    monkeypatch.setattr(stackio, "_stack_lines", failing_lines)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_stack(path, sample_noise(8, Shape(1, 1, 4, 4)))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["output.fps"]
 
 
 def test_header_shape_is_authoritative():
