@@ -25,7 +25,7 @@ from .fields import render_target
 from .flowedit import equivalence_check, flowedit_run
 from .latent import rel_error
 from .metrics import MetricsReport, bg_change_rms, fg_structure_score, rms_gap
-from .stackio import export_frames, write_stack
+from .stackio import export_frames, write_stack, write_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,7 +91,7 @@ def _write_run_outputs(out: Path, field, report: MetricsReport) -> None:
     report.export_channel = 0
     report.export_min = lo
     report.export_max = hi
-    (out / "metrics.txt").write_text(report.to_text(), encoding="ascii")
+    write_text(out / "metrics.txt", report.to_text())
 
 
 def cmd_generate(cfg: cfgmod.ExperimentConfig) -> int:
@@ -176,7 +176,7 @@ def cmd_equivalence(cfg: cfgmod.ExperimentConfig) -> int:
         velocity, z0, src, tar, cfgmod.build_schedule(cfg), cfg.seed, cfg.equiv_tol
     )
     out = _out_dir(cfg)
-    (out / "equivalence.txt").write_text("\n".join(report.to_lines()) + "\n", encoding="ascii")
+    write_text(out / "equivalence.txt", "\n".join(report.to_lines()) + "\n")
     print(
         f"equivalence: max_deviation={report.max_deviation:.3g} tol={report.tol:.3g} "
         f"passed={str(report.passed).lower()}"
@@ -200,7 +200,7 @@ def cmd_sweep_reuse(cfg: cfgmod.ExperimentConfig) -> int:
             row += f" {rel_error(reports[r].output, setup.z0):.9g}"
         lines.append(row)
     out = _out_dir(cfg)
-    (out / "sweep.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_text(out / "sweep.txt", "\n".join(lines) + "\n")
     for line in lines:
         print(line)
     return EXIT_OK

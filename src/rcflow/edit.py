@@ -172,6 +172,8 @@ def run_edit(
         try:
             v_edit = residual_corrected_velocity(v_tar, residual, mask)
             z_edit = euler_step(z_edit, t_hi, t_lo, v_edit)
+            # released before detail transfer, where a step's memory peaks
+            del v_tar, v_edit
             if config.hf_enabled:
                 z_edit = hf_transfer(
                     z_edit, lerp_noise(z0, eps, t_lo), mask, config.hf_lambda, config.hf_rho

@@ -15,7 +15,7 @@ Field catalogue:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -133,9 +133,16 @@ def render_target(scene: ToyScene, c: ConditionBundle) -> LatentField:
 
 @dataclass(frozen=True)
 class MixtureDataset:
-    """Weighted point-mass targets; weights are normalized on construction."""
+    """Weighted point-mass targets; weights are normalized on construction.
+
+    `points` (components x frames x channels x height x width) and `weights`
+    are stacked once, read-only; each component's field is a view into
+    `points`, so the points are held once.
+    """
 
     components: tuple[tuple[float, LatentField], ...]
+    points: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.components:
@@ -149,16 +156,14 @@ class MixtureDataset:
         total = float(weights.sum())
         if total <= 0.0:
             raise ValueError("mixture weights must not all be zero")
-        normalized = tuple((float(w) / total, point) for w, point in self.components)
-        object.__setattr__(self, "components", normalized)
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.stack([point.data for _, point in self.components])
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.components])
+        normalized = np.array([float(w) / total for w, _ in self.components])
+        points = np.stack([point.data for _, point in self.components])
+        normalized.flags.writeable = False
+        points.flags.writeable = False
+        components = tuple((float(w), LatentField(p)) for w, p in zip(normalized, points))
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights", normalized)
 
 
 class _ConstantField(VelocityField):

@@ -9,7 +9,7 @@ trips within 1e-6 relative, which is all the desk-scale experiments need.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -38,45 +38,87 @@ def format_stack(field: LatentField) -> str:
     return "".join(_stack_lines(field))
 
 
-def write_stack(path: str | os.PathLike, field: LatentField) -> None:
-    """Write a stack file atomically: all of it replaces path, or path is untouched.
+def _write_atomic(
+    path: str | os.PathLike, chunks: Iterable[str] | Iterable[bytes], *, binary: bool = False
+) -> None:
+    """Write chunks so that all of them replace path, or path is untouched.
 
-    The lines go to a temporary file in path's directory, which is renamed
+    The chunks go to a temporary file in path's directory, which is renamed
     over path once complete and removed if anything fails before that.
+    Text is ASCII.
     """
     target = Path(path)
     partial = target.with_name(f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    handle = open(partial, "x", encoding="ascii")
+    handle = open(partial, "xb") if binary else open(partial, "x", encoding="ascii")
     try:
         with handle:
-            handle.writelines(_stack_lines(field))
+            handle.writelines(chunks)
         os.replace(partial, target)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
 
 
+def write_stack(path: str | os.PathLike, field: LatentField) -> None:
+    """Write a stack file atomically: all of it replaces path, or path is untouched."""
+    _write_atomic(path, _stack_lines(field))
+
+
+def write_text(path: str | os.PathLike, text: str) -> None:
+    """Write an ASCII text file atomically: all of it replaces path, or path is untouched."""
+    _write_atomic(path, [text])
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The newline-separated lines of text, one at a time: `text.split("\\n")` without the list."""
+    start = 0
+    while start <= len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        yield text[start:end]
+        start = end + 1
+
+
 def parse_stack(text: str, *, source: str = "<string>") -> LatentField:
-    lines = text.split("\n")
-    if not lines or not lines[0].strip():
+    """Parse a stack file's text; a malformed header or payload raises ConfigError.
+
+    The payload is converted one line at a time into a preallocated array
+    (numpy parses each token as `float()` does), so no Python object per
+    value is kept for the whole stack.
+    """
+    lines = _lines(text)
+    first = next(lines)
+    if not first.strip():
         raise ConfigError(f"{source}: empty stack file")
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 6 or header[0] != MAGIC or header[1] != VERSION:
-        raise ConfigError(f"{source}: bad header {lines[0]!r}")
+        raise ConfigError(f"{source}: bad header {first!r}")
     try:
         f, c, h, w = (int(v) for v in header[2:])
     except ValueError as exc:
         raise ConfigError(f"{source}: non-integer extent in header") from exc
     if min(f, c, h, w) < 1:
         raise ConfigError(f"{source}: extents must be positive, got {f} {c} {h} {w}")
-    payload = "\n".join(lines[1:]).split()
     expected = f * c * h * w
-    if len(payload) != expected:
-        raise ConfigError(f"{source}: header promises {expected} values, payload has {len(payload)}")
-    try:
-        values = np.array([float(v) for v in payload])
-    except ValueError as exc:
-        raise ConfigError(f"{source}: non-numeric payload value") from exc
+    # every token takes at least one character, so a header that promises
+    # more values than text has characters gets no array of its size
+    values = np.empty(min(expected, len(text)))
+    count = 0
+    numeric_error = None
+    # keep counting past a bad token: a count mismatch is reported before it
+    for line in lines:
+        tokens = line.split()
+        if numeric_error is None and count + len(tokens) <= values.size:
+            try:
+                values[count : count + len(tokens)] = np.array(tokens, dtype=np.float64)
+            except ValueError as exc:
+                numeric_error = exc
+        count += len(tokens)
+    if count != expected:
+        raise ConfigError(f"{source}: header promises {expected} values, payload has {count}")
+    if numeric_error is not None:
+        raise ConfigError(f"{source}: non-numeric payload value") from numeric_error
     return LatentField(values.reshape(f, c, h, w))
 
 
@@ -99,9 +141,7 @@ def write_pgm(path: str | os.PathLike, frame: np.ndarray, lo: float, hi: float) 
         scaled = np.zeros_like(frame)
     pixels = np.round(scaled * 255.0).astype(np.uint8)
     h, w = pixels.shape
-    with open(path, "wb") as handle:
-        handle.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        handle.write(pixels.tobytes())
+    _write_atomic(path, [f"P5\n{w} {h}\n255\n".encode("ascii"), pixels.tobytes()], binary=True)
 
 
 def export_frames(

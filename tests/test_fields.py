@@ -234,6 +234,17 @@ class TestMixtureField:
         with pytest.raises(NumericError):
             oracle_posterior_mean(z, 1e-8, data)
 
+    def test_points_stacked_once_and_shared(self):
+        data = three_component_dataset()
+        assert data.points is data.points
+        assert not data.points.flags.writeable
+        assert not data.weights.flags.writeable
+        assert_allclose(data.weights, [0.5, 0.3, 0.2], rtol=1e-15)
+        for (weight, point), row, stacked_weight in zip(data.components, data.points, data.weights):
+            assert np.shares_memory(point.data, data.points)
+            assert point.data.tobytes() == row.tobytes()
+            assert weight == stacked_weight
+
     def test_weights_validated(self):
         x = sample_noise(25, SHAPE)
         with pytest.raises(ValueError):

@@ -1,5 +1,15 @@
-import numpy as np
+import hashlib
+import multiprocessing
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rcflow.rng as rng
 from rcflow.rng import derive_seed, random_words, standard_normal, uniform_open
 
 # frozen stream head for seed 1; guards the cross-platform bit contract
@@ -14,6 +24,34 @@ SEED1_WORDS = [
 # moments of standard_normal(seed=1, 4096) measured once and locked
 SEED1_MEAN = 0.03138332634202502
 SEED1_VAR = 1.0251770607472457
+
+# sha256 of standard_normal(1, 2**20 + 3).tobytes(), from the one-shot generator
+SEED1_LARGE_SHA256 = "30ccd25a7e956345a937c41f442c95a8695b5cac86b637e810dd39cd9d4cb3f1"
+
+
+def one_shot_standard_normal(seed, count):
+    """The reference generator: one Box-Muller pass over whole-draw temporaries."""
+    pairs = (count + 1) // 2
+    u = uniform_open(seed, 2 * pairs)
+    u1, u2 = u[:pairs], u[pairs:]
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:count]
+
+
+def _boundary_counts():
+    """Counts whose pairs sit at a block or chunk boundary, and one off it, for 1 to 3 chunks."""
+    block = rng._BLOCK_PAIRS
+    edges = {block, 2 * block, 3 * block, 6 * block}
+    pairs = {p + d for p in edges for d in (-1, 0, 1)}
+    return sorted({2 * p - odd for p in pairs for odd in (0, 1)})
+
+
+BOUNDARY_COUNTS = _boundary_counts()
+SEEDS = st.one_of(st.sampled_from([0, 1, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
 
 def test_known_answer_words():
@@ -54,3 +92,60 @@ def test_derive_seed_separates_streams():
     assert len(seen) == 80
     assert derive_seed(5, 3, 1) == derive_seed(5, 3, 1)
     assert derive_seed(5, 3, 1) != derive_seed(6, 3, 1)
+
+
+@settings(deadline=None)
+@given(seed=SEEDS, count=st.one_of(st.integers(0, 200), st.sampled_from(BOUNDARY_COUNTS)))
+def test_normal_matches_one_shot_reference(seed, count):
+    assert standard_normal(seed, count).tobytes() == one_shot_standard_normal(seed, count).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_normal_bits_do_not_depend_on_worker_count(monkeypatch, workers):
+    monkeypatch.setattr(rng, "_WORKERS", workers)
+    for seed in (0, 2**64 - 1, 0x0123456789ABCDEF):
+        for count in (BOUNDARY_COUNTS[0], BOUNDARY_COUNTS[-1], 100_003):
+            assert standard_normal(seed, count).tobytes() == one_shot_standard_normal(seed, count).tobytes()
+
+
+def test_concurrent_callers_get_their_own_bits(monkeypatch):
+    monkeypatch.setattr(rng, "_WORKERS", 3)
+    count = 2 * 3 * rng._BLOCK_PAIRS + 1
+    expected = {seed: one_shot_standard_normal(seed, count).tobytes() for seed in range(6)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(expected)) as callers:
+            drawn = callers.map(lambda seed: standard_normal(seed, count).tobytes(), expected, timeout=60)
+            results = dict(zip(expected, drawn))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+
+
+def test_seed_wraps_modulo_two_to_the_64():
+    assert np.array_equal(standard_normal(-1, 40_001), standard_normal(2**64 - 1, 40_001))
+    assert np.array_equal(standard_normal(2**64 + 5, 7), standard_normal(5, 7))
+
+
+def test_large_draw_bits_are_pinned():
+    digest = hashlib.sha256(standard_normal(1, 2**20 + 3).tobytes()).hexdigest()
+    assert digest == SEED1_LARGE_SHA256
+
+
+def _draw_and_compare(count, expected):
+    sys.exit(0 if standard_normal(5, count).tobytes() == expected else 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_still_draws():
+    count = 2 * 3 * rng._BLOCK_PAIRS
+    # a multi-block draw starts the pool's threads in this process first
+    expected = standard_normal(5, count).tobytes()
+    child = multiprocessing.get_context("fork").Process(target=_draw_and_compare, args=(count, expected))
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0

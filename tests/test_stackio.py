@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rcflow.stackio as stackio
 from rcflow.engine import sample_noise
-from rcflow.errors import ConfigError
+from rcflow.errors import ConfigError, NumericError
 from rcflow.latent import LatentField, Shape
 from rcflow.stackio import (
     export_frames,
@@ -13,6 +15,7 @@ from rcflow.stackio import (
     read_stack,
     write_pgm,
     write_stack,
+    write_text,
 )
 
 
@@ -86,6 +89,29 @@ def test_failed_write_keeps_old_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["output.fps"]
 
 
+def failing_chunks(first):
+    yield first
+    raise RuntimeError("writing failed")
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: write_text(path, "key=caf\u00e9\n"),
+        lambda path: stackio._write_atomic(path, failing_chunks("key=2\n")),
+        lambda path: stackio._write_atomic(path, failing_chunks(b"P5\n"), binary=True),
+    ],
+    ids=["text-not-ascii", "text-chunks", "binary-chunks"],
+)
+def test_failed_atomic_write_keeps_old_file(tmp_path, write):
+    path = tmp_path / "metrics.txt"
+    write_text(path, "key=1\n")
+    with pytest.raises((UnicodeEncodeError, RuntimeError)):
+        write(path)
+    assert path.read_bytes() == b"key=1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.txt"]
+
+
 def test_header_shape_is_authoritative():
     field = sample_noise(3, Shape(2, 1, 2, 2))
     text = format_stack(field)
@@ -113,11 +139,78 @@ def test_payload_length_must_match_header():
         parse_stack("FPSTACK 1 1 1 2 2\n1 2 3")
     with pytest.raises(ConfigError, match="promises 4"):
         parse_stack("FPSTACK 1 1 1 2 2\n1 2 3 4 5")
+    with pytest.raises(ConfigError, match="promises 100000000000000000000 values, payload has 2"):
+        parse_stack("FPSTACK 1 100000 100000 100000 100000\n1 2")
 
 
 def test_non_numeric_payload_rejected():
     with pytest.raises(ConfigError, match="non-numeric"):
         parse_stack("FPSTACK 1 1 1 1 2\n1 banana")
+    # a count mismatch is reported first, wherever the bad token sits
+    with pytest.raises(ConfigError, match="promises 2 values, payload has 3"):
+        parse_stack("FPSTACK 1 1 1 1 2\nbanana\n1 2")
+    with pytest.raises(ConfigError, match="promises 2 values, payload has 4"):
+        parse_stack("FPSTACK 1 1 1 1 2\n1 2 3\nbanana")
+
+
+def per_value_parse_stack(text, source="<string>"):
+    """The reader's reference: the whole payload split at once, `float()` per value."""
+    lines = text.split("\n")
+    if not lines[0].strip():
+        raise ConfigError(f"{source}: empty stack file")
+    header = lines[0].split()
+    if len(header) != 6 or header[0] != "FPSTACK" or header[1] != "1":
+        raise ConfigError(f"{source}: bad header {lines[0]!r}")
+    try:
+        f, c, h, w = (int(v) for v in header[2:])
+    except ValueError as exc:
+        raise ConfigError(f"{source}: non-integer extent in header") from exc
+    if min(f, c, h, w) < 1:
+        raise ConfigError(f"{source}: extents must be positive, got {f} {c} {h} {w}")
+    payload = "\n".join(lines[1:]).split()
+    expected = f * c * h * w
+    if len(payload) != expected:
+        raise ConfigError(f"{source}: header promises {expected} values, payload has {len(payload)}")
+    try:
+        values = np.array([float(v) for v in payload])
+    except ValueError as exc:
+        raise ConfigError(f"{source}: non-numeric payload value") from exc
+    return LatentField(values.reshape(f, c, h, w))
+
+
+def parse_outcome(parse, text):
+    """The bytes a parser returns, or the type and message of what it raises."""
+    try:
+        return parse(text).data.tobytes()
+    except (ConfigError, NumericError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "-0 +5 1_0 -1e-400 5e-324 -5e-324",
+        "\n\n-0 +5\n\n\n1_0 -1e-400 5e-324\n-5e-324\n\n",
+        "-0\n+5 1_0\n-1e-400\n5e-324\n-5e-324",
+        "  -0\t+5  1_0\r\n-1e-400 5e-324   -5e-324  \n",
+        # float("1e400") is inf, which no stack may hold
+        "-0 +5 1_0 1e400 5e-324 -5e-324",
+    ],
+    ids=["one-row", "blank-lines", "uneven-breaks", "mixed-whitespace", "overflow"],
+)
+def test_parse_matches_per_value_reader(payload):
+    text = "FPSTACK 1 1 1 2 3\n" + payload
+    assert parse_outcome(parse_stack, text) == parse_outcome(per_value_parse_stack, text)
+
+
+@settings(deadline=None)
+@given(
+    header=st.sampled_from(["FPSTACK 1 1 1 2 3", "FPSTACK 1 1 2 1 1", "FPSTACK 1 0 1 1 1", "FPSTACK 1 2 x", "", " "]),
+    payload=st.text(alphabet="0123456789+-._eE \t\r\nnaif", max_size=40),
+)
+def test_parse_matches_per_value_reader_on_any_text(header, payload):
+    text = header + "\n" + payload
+    assert parse_outcome(parse_stack, text) == parse_outcome(per_value_parse_stack, text)
 
 
 def test_read_mask_validates_range(tmp_path):
