@@ -4,8 +4,11 @@
            --config <path> [--out <dir>] [--seed <u64>] [--r <int>]
            [--lambda <f>] [--rho <f>]
 
-Flags override the corresponding config keys. Every command is a pure
-function of config plus seed: re-running writes byte-identical files.
+Each flag replaces one config key (--out out_dir, --seed seed, --r
+reuse_interval, --lambda hf_lambda, --rho hf_rho) and is parsed and
+checked as that key, together with the rest of the file. Every command is
+a pure function of config plus seed: re-running writes byte-identical
+files.
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 failed
 equivalence or identity check.
 """
@@ -32,6 +35,15 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_CHECK_FAILED = 4
 
+# flag, the config key it replaces, help
+_FLAGS = (
+    ("--out", "out_dir", "output directory"),
+    ("--seed", "seed", "noise seed"),
+    ("--r", "reuse_interval", "residual reuse interval"),
+    ("--lambda", "hf_lambda", "detail injection share"),
+    ("--rho", "hf_rho", "frequency split threshold"),
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -48,33 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="experiment config file")
-        cmd.add_argument("--out", help="output directory (overrides out_dir)")
-        cmd.add_argument("--seed", type=int, help="noise seed (overrides seed)")
-        cmd.add_argument("--r", type=int, dest="reuse", help="residual reuse interval")
-        cmd.add_argument("--lambda", type=float, dest="hf_lambda", help="detail injection share")
-        cmd.add_argument("--rho", type=float, dest="hf_rho", help="frequency split threshold")
+        for flag, key, flag_help in _FLAGS:
+            cmd.add_argument(flag, dest=key, help=f"{flag_help} (overrides {key})")
     return parser
-
-
-def _apply_overrides(cfg: cfgmod.ExperimentConfig, args: argparse.Namespace) -> None:
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("key 'seed': must fit in 64 bits")
-        cfg.seed = args.seed
-    if args.reuse is not None:
-        if not 1 <= args.reuse <= cfgmod.build_schedule(cfg).steps:
-            raise ConfigError("key 'reuse_interval': outside the schedule's step range")
-        cfg.reuse_interval = args.reuse
-    if args.hf_lambda is not None:
-        if not 0.0 <= args.hf_lambda <= 1.0:
-            raise ConfigError("key 'hf_lambda': must lie in [0, 1]")
-        cfg.hf_lambda = args.hf_lambda
-    if args.hf_rho is not None:
-        if not 0.0 <= args.hf_rho <= 1.0:
-            raise ConfigError("key 'hf_rho': must lie in [0, 1]")
-        cfg.hf_rho = args.hf_rho
 
 
 def _out_dir(cfg: cfgmod.ExperimentConfig) -> Path:
@@ -217,10 +205,10 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {key: getattr(args, key) for _, key, _ in _FLAGS if getattr(args, key) is not None}
     started = time.monotonic()
     try:
-        cfg = cfgmod.load_config(args.config)
-        _apply_overrides(cfg, args)
+        cfg = cfgmod.load_config(args.config, overrides)
         code = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Any
 
 from .edit import EditConfig
 from .engine import ConditionBundle, Schedule, VelocityField, make_uniform_schedule
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .fields import (
     AGNOSTIC_ARITY,
     ILLUM_ARITY,
@@ -34,42 +36,6 @@ from .latent import LatentField, Mask, Shape, downsample_mask
 from .stackio import read_mask, read_stack
 
 _COMPONENT_KEY = re.compile(r"^component\.(\d+)\.(weight|file|value)$")
-
-_SCALAR_KEYS = {
-    "seed",
-    "frames",
-    "channels",
-    "height",
-    "width",
-    "steps",
-    "knots",
-    "reuse_interval",
-    "hf_lambda",
-    "hf_rho",
-    "hf_enabled",
-    "mask",
-    "field",
-    "constant_value",
-    "scene.mask_threshold",
-    "mixture.components",
-    "mixture.spread",
-    "mixture.seed",
-    "src.illum",
-    "src.agnostic",
-    "src.reference_file",
-    "src.structural_file",
-    "tar.illum",
-    "tar.agnostic",
-    "tar.reference_file",
-    "tar.structural_file",
-    "input",
-    "out_dir",
-    "equiv_tol",
-    "identity_tol",
-    "fe_noise",
-    "fe_navg",
-    "sweep_r",
-}
 
 
 def parse_config_text(text: str, *, source: str = "<string>") -> dict[str, str]:
@@ -117,18 +83,68 @@ def _parse_bool(key: str, value: str) -> bool:
     raise ConfigError(f"key '{key}': expected true/false, got {value!r}")
 
 
-def _parse_floats(key: str, value: str) -> tuple[float, ...]:
-    parts = [p for p in value.replace(",", " ").split() if p]
-    if not parts:
-        raise ConfigError(f"key '{key}': expected a list of numbers")
-    return tuple(_parse_float(key, p) for p in parts)
+def _parse_text(key: str, value: str) -> str:
+    return value
 
 
-def _parse_ints(key: str, value: str) -> tuple[int, ...]:
-    parts = [p for p in value.replace(",", " ").split() if p]
-    if not parts:
-        raise ConfigError(f"key '{key}': expected a list of integers")
-    return tuple(_parse_int(key, p) for p in parts)
+def _parse_list(parse_item: Callable[[str, str], Any], kind: str) -> Callable[[str, str], tuple]:
+    def parse(key: str, value: str) -> tuple:
+        parts = value.replace(",", " ").split()
+        if not parts:
+            raise ConfigError(f"key '{key}': expected a list of {kind}")
+        return tuple(parse_item(key, p) for p in parts)
+
+    return parse
+
+
+_NUMBERS = _parse_list(_parse_float, "numbers")
+_ANY = (lambda v: True, "")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_NON_NEGATIVE = (lambda v: v >= 0.0, "must be >= 0")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_TEXT = (_parse_text, *_ANY)
+_ILLUM = (_NUMBERS, lambda v: len(v) == ILLUM_ARITY, f"must have {ILLUM_ARITY} values")
+_AGNOSTIC = (_NUMBERS, lambda v: len(v) == AGNOSTIC_ARITY, f"must have {AGNOSTIC_ARITY} values")
+
+# Every scalar key in the order it is checked, so the first bad key of a
+# file is the one reported: its parser, a range check on the parsed value,
+# and the requirement an out-of-range value is told. The value lands in the
+# ExperimentConfig field named like the key with "." as "_".
+_KEYS: dict[str, tuple[Callable[[str, str], Any], Callable[[Any], bool], str]] = {
+    "seed": (_parse_int, lambda v: 0 <= v < 2**64, "must fit in 64 bits"),
+    **dict.fromkeys(("frames", "channels", "height", "width", "steps"), (_parse_int, *_AT_LEAST_1)),
+    "knots": (_NUMBERS, *_ANY),
+    "reuse_interval": (_parse_int, *_AT_LEAST_1),
+    "hf_lambda": (_parse_float, *_UNIT),
+    "hf_rho": (_parse_float, *_UNIT),
+    "hf_enabled": (_parse_bool, *_ANY),
+    "mask": (_parse_text, bool, "must not be empty"),
+    "field": (
+        _parse_text,
+        lambda v: v in ("constant", "point", "mixture"),
+        "must be one of constant|point|mixture",
+    ),
+    "constant_value": (_parse_float, *_ANY),
+    "scene.mask_threshold": (_parse_float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "mixture.components": (_parse_int, *_AT_LEAST_1),
+    "mixture.spread": (_parse_float, *_NON_NEGATIVE),
+    "mixture.seed": (_parse_int, *_ANY),
+    "src.illum": _ILLUM,
+    "src.agnostic": _AGNOSTIC,
+    "src.reference_file": _TEXT,
+    "src.structural_file": _TEXT,
+    "tar.illum": _ILLUM,
+    "tar.agnostic": _AGNOSTIC,
+    "tar.reference_file": _TEXT,
+    "tar.structural_file": _TEXT,
+    "input": _TEXT,
+    "out_dir": _TEXT,
+    "equiv_tol": (_parse_float, *_NON_NEGATIVE),
+    "identity_tol": (_parse_float, *_NON_NEGATIVE),
+    "fe_noise": (_parse_text, lambda v: v in ("fixed", "fresh"), "must be fixed or fresh"),
+    "fe_navg": (_parse_int, *_AT_LEAST_1),
+    "sweep_r": (_parse_list(_parse_int, "integers"), *_ANY),
+}
 
 
 @dataclass(frozen=True)
@@ -194,95 +210,15 @@ def build_experiment_config(
         if match:
             components.setdefault(int(match.group(1)), {})[match.group(2)] = known.pop(key)
     for key in known:
-        if key not in _SCALAR_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key '{key}'")
 
     cfg = ExperimentConfig(base_dir=base_dir or Path())
-
-    if "seed" in known:
-        cfg.seed = _parse_int("seed", known["seed"])
-        _check_range(0 <= cfg.seed < 2**64, "seed", "must fit in 64 bits")
-    for name in ("frames", "channels", "height", "width"):
-        if name in known:
-            value = _parse_int(name, known[name])
-            _check_range(value >= 1, name, "must be >= 1")
-            setattr(cfg, name, value)
-    if "steps" in known:
-        cfg.steps = _parse_int("steps", known["steps"])
-        _check_range(cfg.steps >= 1, "steps", "must be >= 1")
-    if "knots" in known:
-        cfg.knots = _parse_floats("knots", known["knots"])
-    if "reuse_interval" in known:
-        cfg.reuse_interval = _parse_int("reuse_interval", known["reuse_interval"])
-        _check_range(cfg.reuse_interval >= 1, "reuse_interval", "must be >= 1")
-    for name in ("hf_lambda", "hf_rho"):
-        if name in known:
-            value = _parse_float(name, known[name])
-            _check_range(0.0 <= value <= 1.0, name, "must lie in [0, 1]")
-            setattr(cfg, name, value)
-    if "hf_enabled" in known:
-        cfg.hf_enabled = _parse_bool("hf_enabled", known["hf_enabled"])
-    if "mask" in known:
-        _check_range(bool(known["mask"]), "mask", "must not be empty")
-        cfg.mask = known["mask"]
-    if "field" in known:
-        _check_range(
-            known["field"] in ("constant", "point", "mixture"),
-            "field",
-            "must be one of constant|point|mixture",
-        )
-        cfg.field = known["field"]
-    if "constant_value" in known:
-        cfg.constant_value = _parse_float("constant_value", known["constant_value"])
-    if "scene.mask_threshold" in known:
-        value = _parse_float("scene.mask_threshold", known["scene.mask_threshold"])
-        _check_range(0.0 < value < 1.0, "scene.mask_threshold", "must lie in (0, 1)")
-        cfg.scene_mask_threshold = value
-    if "mixture.components" in known:
-        cfg.mixture_components = _parse_int("mixture.components", known["mixture.components"])
-        _check_range(cfg.mixture_components >= 1, "mixture.components", "must be >= 1")
-    if "mixture.spread" in known:
-        cfg.mixture_spread = _parse_float("mixture.spread", known["mixture.spread"])
-        _check_range(cfg.mixture_spread >= 0.0, "mixture.spread", "must be >= 0")
-    if "mixture.seed" in known:
-        cfg.mixture_seed = _parse_int("mixture.seed", known["mixture.seed"])
-    for prefix in ("src", "tar"):
-        illum_key = f"{prefix}.illum"
-        if illum_key in known:
-            values = _parse_floats(illum_key, known[illum_key])
-            _check_range(len(values) == ILLUM_ARITY, illum_key, f"must have {ILLUM_ARITY} values")
-            setattr(cfg, f"{prefix}_illum", values)
-        agnostic_key = f"{prefix}.agnostic"
-        if agnostic_key in known:
-            values = _parse_floats(agnostic_key, known[agnostic_key])
-            _check_range(
-                len(values) == AGNOSTIC_ARITY, agnostic_key, f"must have {AGNOSTIC_ARITY} values"
-            )
-            setattr(cfg, f"{prefix}_agnostic", values)
-        for suffix in ("reference_file", "structural_file"):
-            key = f"{prefix}.{suffix}"
-            if key in known:
-                setattr(cfg, f"{prefix}_{suffix}", known[key])
-    if "input" in known:
-        cfg.input = known["input"]
-    if "out_dir" in known:
-        cfg.out_dir = known["out_dir"]
-    for name in ("equiv_tol", "identity_tol"):
-        if name in known:
-            value = _parse_float(name, known[name])
-            _check_range(value >= 0.0, name, "must be >= 0")
-            setattr(cfg, name, value)
-    if "fe_noise" in known:
-        _check_range(
-            known["fe_noise"] in ("fixed", "fresh"), "fe_noise", "must be fixed or fresh"
-        )
-        cfg.fe_noise = known["fe_noise"]
-    if "fe_navg" in known:
-        cfg.fe_navg = _parse_int("fe_navg", known["fe_navg"])
-        _check_range(cfg.fe_navg >= 1, "fe_navg", "must be >= 1")
-    if "sweep_r" in known:
-        cfg.sweep_r = _parse_ints("sweep_r", known["sweep_r"])
-        _check_range(bool(cfg.sweep_r), "sweep_r", "must not be empty")
+    for key, (parse, ok, requirement) in _KEYS.items():
+        if key in known:
+            value = parse(key, known[key])
+            _check_range(ok(value), key, requirement)
+            setattr(cfg, key.replace(".", "_"), value)
 
     if components:
         _check_range(cfg.field == "mixture", "component.*", "only valid with field = mixture")
@@ -326,13 +262,15 @@ def build_experiment_config(
     return cfg
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) -> ExperimentConfig:
+    """Read a config file; overrides (key -> value text) replace its entries before any check."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     entries = parse_config_text(text, source=str(path))
+    entries.update(overrides or {})
     return build_experiment_config(entries, base_dir=path.parent)
 
 
@@ -346,12 +284,11 @@ def build_shape(cfg: ExperimentConfig) -> Shape:
 
 
 def build_schedule(cfg: ExperimentConfig) -> Schedule:
-    if cfg.knots is not None:
-        try:
-            return Schedule(cfg.knots)
-        except ValueError as exc:
-            raise ConfigError(f"key 'knots': {exc}") from exc
-    return make_uniform_schedule(cfg.steps)
+    key = "steps" if cfg.knots is None else "knots"
+    try:
+        return make_uniform_schedule(cfg.steps) if cfg.knots is None else Schedule(cfg.knots)
+    except ValueError as exc:
+        raise ConfigError(f"key '{key}': {exc}") from exc
 
 
 def build_scene(cfg: ExperimentConfig) -> ToyScene:
@@ -363,16 +300,23 @@ def _resolve(cfg: ExperimentConfig, relative: str) -> Path:
     return path if path.is_absolute() else cfg.base_dir / path
 
 
-def _load_optional(
-    cfg: ExperimentConfig, key: str, relative: str | None, expected: Shape
-) -> LatentField | None:
+def _load_stack(
+    cfg: ExperimentConfig,
+    key: str,
+    relative: str | None,
+    read: Callable[[Path], Any],
+    expected: Shape | None = None,
+) -> Any:
+    """Read the stack file a key names; every fault is a ConfigError naming the key."""
     if relative is None:
         return None
     try:
-        loaded = read_stack(_resolve(cfg, relative))
+        loaded = read(_resolve(cfg, relative))
     except OSError as exc:
         raise ConfigError(f"key '{key}': cannot read {relative}: {exc}") from exc
-    if loaded.shape != expected:
+    except (ValueError, NumericError) as exc:
+        raise ConfigError(f"key '{key}': {exc}") from exc
+    if expected is not None and loaded.shape != expected:
         raise ConfigError(
             f"key '{key}': stack shape {loaded.shape} does not match expected shape {expected}"
         )
@@ -386,14 +330,14 @@ def build_bundles(cfg: ExperimentConfig) -> tuple[ConditionBundle, ConditionBund
     src = ConditionBundle(
         illum_params=cfg.src_illum,
         agnostic_params=cfg.src_agnostic,
-        reference_frame=_load_optional(cfg, "src.reference_file", cfg.src_reference_file, frame),
-        structural=_load_optional(cfg, "src.structural_file", cfg.src_structural_file, shape),
+        reference_frame=_load_stack(cfg, "src.reference_file", cfg.src_reference_file, read_stack, frame),
+        structural=_load_stack(cfg, "src.structural_file", cfg.src_structural_file, read_stack, shape),
     )
     tar = ConditionBundle(
         illum_params=cfg.tar_illum,
         agnostic_params=cfg.tar_agnostic,
-        reference_frame=_load_optional(cfg, "tar.reference_file", cfg.tar_reference_file, frame),
-        structural=_load_optional(cfg, "tar.structural_file", cfg.tar_structural_file, shape),
+        reference_frame=_load_stack(cfg, "tar.reference_file", cfg.tar_reference_file, read_stack, frame),
+        structural=_load_stack(cfg, "tar.structural_file", cfg.tar_structural_file, read_stack, shape),
     )
     return src, tar
 
@@ -408,17 +352,7 @@ def build_field(cfg: ExperimentConfig, scene: ToyScene) -> VelocityField:
         members = []
         for index, spec in enumerate(cfg.explicit_components):
             if spec.file is not None:
-                try:
-                    point = read_stack(_resolve(cfg, spec.file))
-                except OSError as exc:
-                    raise ConfigError(
-                        f"key 'component.{index}.file': cannot read {spec.file}: {exc}"
-                    ) from exc
-                if point.shape != shape:
-                    raise ConfigError(
-                        f"key 'component.{index}.file': stack shape {point.shape} "
-                        f"does not match the configured latent shape {shape}"
-                    )
+                point = _load_stack(cfg, f"component.{index}.file", spec.file, read_stack, shape)
             else:
                 point = LatentField.full(shape, spec.value)
             members.append((spec.weight, point))
@@ -442,12 +376,7 @@ def build_mask(cfg: ExperimentConfig, scene: ToyScene, src: ConditionBundle) -> 
         return Mask.zeros(shape)
     if cfg.mask == "scene":
         return scene.true_mask(src.agnostic_params)
-    try:
-        loaded = read_mask(_resolve(cfg, cfg.mask))
-    except OSError as exc:
-        raise ConfigError(f"key 'mask': cannot read {cfg.mask}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"key 'mask': {exc}") from exc
+    loaded = _load_stack(cfg, "mask", cfg.mask, read_mask)
     if loaded.shape == Shape(shape.frames, 1, shape.height, shape.width):
         return loaded
     try:
@@ -459,15 +388,7 @@ def build_mask(cfg: ExperimentConfig, scene: ToyScene, src: ConditionBundle) -> 
 def build_input(cfg: ExperimentConfig, scene: ToyScene, src: ConditionBundle) -> LatentField:
     if cfg.input is None:
         return render_target(scene, src)
-    try:
-        z0 = read_stack(_resolve(cfg, cfg.input))
-    except OSError as exc:
-        raise ConfigError(f"key 'input': cannot read {cfg.input}: {exc}") from exc
-    if z0.shape != build_shape(cfg):
-        raise ConfigError(
-            f"key 'input': stack shape {z0.shape} does not match configured shape {build_shape(cfg)}"
-        )
-    return z0
+    return _load_stack(cfg, "input", cfg.input, read_stack, build_shape(cfg))
 
 
 def build_edit_config(cfg: ExperimentConfig, mask: Mask, *, reuse_interval: int | None = None) -> EditConfig:

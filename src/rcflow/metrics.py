@@ -64,19 +64,13 @@ class MetricsReport:
     identity_error: float | None = None
     fg_structure_score: float | None = None
     bg_change_rms: float | None = None
-    reuse_gap: float | None = None
     export_channel: int | None = None
     export_min: float | None = None
     export_max: float | None = None
 
     def to_lines(self) -> list[str]:
         lines = [f"nfe={self.nfe}"]
-        for key in (
-            "identity_error",
-            "fg_structure_score",
-            "bg_change_rms",
-            "reuse_gap",
-        ):
+        for key in ("identity_error", "fg_structure_score", "bg_change_rms"):
             value = getattr(self, key)
             if value is not None:
                 lines.append(f"{key}={value:.9g}")

@@ -190,6 +190,55 @@ class TestCliContract:
         assert run("edit", config, tmp_path / "cond") == 2
         assert f"key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad,reason", [("nan", "field contains non-finite values"), ("\xff", "'ascii' codec")])
+    @pytest.mark.parametrize(
+        "key,frames,lines",
+        [
+            ("input", 2, "input = bad.fps\n"),
+            ("mask", 2, "mask = bad.fps\n"),
+            ("component.0.file", 2, "component.0.weight = 1\ncomponent.0.file = bad.fps\n"),
+            ("src.structural_file", 2, "src.structural_file = bad.fps\n"),
+            ("tar.reference_file", 1, "tar.reference_file = bad.fps\n"),
+        ],
+    )
+    def test_bad_stack_value_is_config_error(self, tmp_path, capsys, key, frames, lines, bad, reason):
+        values = ["0.25"] * (frames * 16 * 16)
+        values[37] = bad
+        rows = [" ".join(values[i : i + 16]) for i in range(0, len(values), 16)]
+        text = f"FPSTACK 1 {frames} 1 16 16\n" + "\n".join(rows) + "\n"
+        (tmp_path / "bad.fps").write_bytes(text.encode("latin-1"))
+        config = write_config(tmp_path, BASE_CONFIG.replace("mask = scene\n", "") + lines)
+        assert run("edit", config, tmp_path / "bad") == 2
+        assert capsys.readouterr().err.startswith(f"config error: key '{key}': {reason}")
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--seed", "abc", "key 'seed': expected an integer, got 'abc'"),
+            ("--seed", "-1", "key 'seed': must fit in 64 bits"),
+            ("--r", "0", "key 'reuse_interval': must be >= 1"),
+            ("--r", "2.5", "key 'reuse_interval': expected an integer, got '2.5'"),
+            ("--r", "51", "key 'reuse_interval': must not exceed the 50 schedule steps"),
+            ("--lambda", "2.0", "key 'hf_lambda': must lie in [0, 1]"),
+            ("--rho", "nan", "key 'hf_rho': value must be finite"),
+        ],
+    )
+    def test_flag_error_is_its_key_error(self, tmp_path, capsys, flag, value, message):
+        config = write_config(tmp_path)
+        assert run("edit", config, tmp_path / "fe", flag, value) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "fe").exists()
+
+    def test_flag_repairs_config_value(self, tmp_path):
+        # the file's reuse_interval exceeds its steps; --r replaces it before any check
+        text = BASE_CONFIG.replace("steps = 50", "steps = 20")
+        text = text.replace("reuse_interval = 10", "reuse_interval = 25")
+        config = write_config(tmp_path, text)
+        assert run("edit", config, tmp_path / "bad") == 2
+        assert run("edit", config, tmp_path / "rep", "--r", "5") == 0
+        metrics = parse_metrics((tmp_path / "rep" / "metrics.txt").read_text())
+        assert metrics["nfe"] == 24
+
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch):
         from rcflow import cli
         from rcflow.errors import NumericError

@@ -1,7 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcflow.config import (
+    _KEYS,
+    ExperimentConfig,
     build_bundles,
     build_experiment_config,
     build_field,
@@ -95,6 +101,141 @@ class TestValidation:
     def test_component_needs_exactly_one_source(self):
         with pytest.raises(ConfigError, match="exactly one"):
             make_cfg("field = mixture\ncomponent.0.weight = 1")
+
+
+# every key's parse and range failures, message for message; a file with
+# several bad keys names the first in the key table's order
+KEY_MESSAGES = [
+    ("sede = 1", "unknown key 'sede'"),
+    ("seed = x", "key 'seed': expected an integer, got 'x'"),
+    ("seed = -3", "key 'seed': must fit in 64 bits"),
+    ("seed = 18446744073709551616", "key 'seed': must fit in 64 bits"),
+    ("frames = 1.5", "key 'frames': expected an integer, got '1.5'"),
+    ("frames = 0", "key 'frames': must be >= 1"),
+    ("channels = 0", "key 'channels': must be >= 1"),
+    ("height = -2", "key 'height': must be >= 1"),
+    ("width = w", "key 'width': expected an integer, got 'w'"),
+    ("width = 0", "key 'width': must be >= 1"),
+    ("steps = many", "key 'steps': expected an integer, got 'many'"),
+    ("steps = 0", "key 'steps': must be >= 1"),
+    ("knots =", "key 'knots': expected a list of numbers"),
+    ("knots = 0, a, 1", "key 'knots': expected a number, got 'a'"),
+    ("knots = 0, inf", "key 'knots': value must be finite"),
+    ("knots = 0,2", "key 'knots': schedule must start at 0 and end at 1, got [0.0, 2.0]"),
+    ("knots = 0, 0.5, 0.5, 1", "key 'knots': schedule knots must be strictly increasing"),
+    ("knots = 0", "key 'knots': schedule needs at least two knots"),
+    ("reuse_interval = 2.0", "key 'reuse_interval': expected an integer, got '2.0'"),
+    ("reuse_interval = 0", "key 'reuse_interval': must be >= 1"),
+    ("reuse_interval = 51", "key 'reuse_interval': must not exceed the 50 schedule steps"),
+    ("hf_lambda = half", "key 'hf_lambda': expected a number, got 'half'"),
+    ("hf_lambda = 1.5", "key 'hf_lambda': must lie in [0, 1]"),
+    ("hf_rho = nan", "key 'hf_rho': value must be finite"),
+    ("hf_rho = -0.1", "key 'hf_rho': must lie in [0, 1]"),
+    ("hf_enabled = maybe", "key 'hf_enabled': expected true/false, got 'maybe'"),
+    ("mask =", "key 'mask': must not be empty"),
+    ("field = banana", "key 'field': must be one of constant|point|mixture"),
+    ("constant_value = x", "key 'constant_value': expected a number, got 'x'"),
+    ("constant_value = -inf", "key 'constant_value': value must be finite"),
+    ("scene.mask_threshold = 1", "key 'scene.mask_threshold': must lie in (0, 1)"),
+    ("scene.mask_threshold = 0", "key 'scene.mask_threshold': must lie in (0, 1)"),
+    ("mixture.components = 0", "key 'mixture.components': must be >= 1"),
+    ("mixture.components = x", "key 'mixture.components': expected an integer, got 'x'"),
+    ("mixture.spread = -1", "key 'mixture.spread': must be >= 0"),
+    ("mixture.seed = 1e3", "key 'mixture.seed': expected an integer, got '1e3'"),
+    ("src.illum = 1,2", "key 'src.illum': must have 4 values"),
+    ("src.illum =", "key 'src.illum': expected a list of numbers"),
+    ("src.agnostic = 1, 2, x", "key 'src.agnostic': expected a number, got 'x'"),
+    ("src.agnostic = 1", "key 'src.agnostic': must have 3 values"),
+    ("tar.illum = 1 2 3 4 5", "key 'tar.illum': must have 4 values"),
+    ("tar.agnostic = 1", "key 'tar.agnostic': must have 3 values"),
+    ("equiv_tol = -1e-9", "key 'equiv_tol': must be >= 0"),
+    ("identity_tol = tiny", "key 'identity_tol': expected a number, got 'tiny'"),
+    ("identity_tol = -1", "key 'identity_tol': must be >= 0"),
+    ("fe_noise = sometimes", "key 'fe_noise': must be fixed or fresh"),
+    ("fe_navg = 0", "key 'fe_navg': must be >= 1"),
+    ("fe_navg = 2", "key 'fe_navg': fixed noise mode requires 1"),
+    ("sweep_r =", "key 'sweep_r': expected a list of integers"),
+    ("sweep_r = 1, x", "key 'sweep_r': expected an integer, got 'x'"),
+    ("sweep_r = 0,5", "key 'sweep_r': value 0 outside [1, 50]"),
+    ("steps = 10\nsweep_r = 1, 11", "key 'sweep_r': value 11 outside [1, 10]"),
+    ("field = point\ncomponent.0.weight = 1\ncomponent.0.value = 0",
+     "key 'component.*': only valid with field = mixture"),
+    ("field = mixture\ncomponent.1.weight = 1\ncomponent.1.value = 0",
+     "key 'component.0.*': component indices must be contiguous from 0"),
+    ("field = mixture\ncomponent.0.value = 0", "key 'component.0.weight': required"),
+    ("field = mixture\ncomponent.0.weight = 1", "key 'component.0': needs exactly one of .file or .value"),
+    ("field = mixture\ncomponent.0.weight = -1\ncomponent.0.value = 0",
+     "key 'component.0.weight': must be >= 0"),
+    ("field = mixture\ncomponent.0.weight = 1\ncomponent.0.value = v",
+     "key 'component.0.value': expected a number, got 'v'"),
+    ("sweep_r = 0\nwidth = 0\nseed = -1", "key 'seed': must fit in 64 bits"),
+    ("hf_rho = 2\nhf_lambda = 2", "key 'hf_lambda': must lie in [0, 1]"),
+    ("fe_navg = 0\ntar.illum = 1\nfield = banana", "key 'field': must be one of constant|point|mixture"),
+    ("field = banana\nbogus = 1", "unknown key 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("text,message", KEY_MESSAGES)
+def test_exact_error_message(text, message):
+    with pytest.raises(ConfigError) as info:
+        make_cfg(text)
+    assert str(info.value) == message
+
+
+def test_key_table_names_every_scalar_field():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert {key.replace(".", "_") for key in _KEYS} == fields - {"explicit_components", "base_dir"}
+
+
+def test_unallocatable_steps_is_config_error():
+    # numpy refuses a 2**62 + 1 knot grid before allocating anything
+    with pytest.raises(ConfigError) as info:
+        make_cfg("steps = 4611686018427387904")
+    assert str(info.value).startswith("key 'steps': ")
+
+
+_BIG = [str(2**62), str(2**64), str(10**30)]
+_POOL = [
+    "", "x", "1,x", "true", "false", "fresh", "fixed", "mixture", "point", "ones", "scene",
+    "nan", "inf", "-inf", "1e400", "0.5", "1.5", "-0.25", "1,2", "0, 0.5, 1", "1 2 3 4", "5,3,0.5",
+]
+
+
+def _values(big):
+    return st.one_of(
+        st.sampled_from(_POOL + (_BIG if big else [])),
+        st.integers(-3, 60).map(str),
+        st.floats().map(repr),
+        # five characters parse to at most 99999 as an int
+        st.text(max_size=5),
+        st.lists(st.sampled_from(["0", "0.5", "1", "2", "-1", "10", "nan", "x"]), max_size=5).map(", ".join),
+    )
+
+
+_COMPONENT_KEYS = [f"component.{i}.{part}" for i in range(3) for part in ("weight", "file", "value")]
+_FUZZ_KEYS = [*_KEYS, *_COMPONENT_KEYS, "bogus"]
+
+
+@st.composite
+def entry_dicts(draw):
+    # steps stays below 10**6: a uniform schedule allocates steps + 1 knots
+    entries = {
+        key: draw(_values(big=key != "steps"))
+        for key in draw(st.lists(st.sampled_from(_FUZZ_KEYS), unique=True, max_size=10))
+    }
+    if draw(st.booleans()):
+        entries.setdefault("field", "mixture")
+    return entries
+
+
+@settings(deadline=None, max_examples=300)
+@given(entry_dicts())
+def test_any_entries_build_or_raise_config_error(entries):
+    try:
+        cfg = build_experiment_config(entries)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 class TestBuilders:
