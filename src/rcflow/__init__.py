@@ -4,8 +4,6 @@ from .edit import (
     EditConfig,
     EditReport,
     consistency_residual,
-    residual_corrected_velocity,
-    restoration_velocity,
     run_edit,
 )
 from .engine import (
@@ -13,7 +11,6 @@ from .engine import (
     Schedule,
     StepObserver,
     VelocityField,
-    consistent_pair,
     euler_step,
     generate,
     make_uniform_schedule,
@@ -25,7 +22,6 @@ from .fields import (
     ToyScene,
     constant_field,
     mixture_field,
-    oracle_posterior_mean,
     point_field,
     render_target,
     scene_mixture_field,
@@ -69,7 +65,6 @@ __all__ = [
     "ToyScene",
     "VelocityField",
     "consistency_residual",
-    "consistent_pair",
     "constant_field",
     "downsample_mask",
     "equivalence_check",
@@ -81,12 +76,9 @@ __all__ = [
     "lerp_noise",
     "make_uniform_schedule",
     "mixture_field",
-    "oracle_posterior_mean",
     "point_field",
     "rel_error",
     "render_target",
-    "residual_corrected_velocity",
-    "restoration_velocity",
     "run_edit",
     "sample_noise",
     "scene_mixture_field",

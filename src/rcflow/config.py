@@ -97,6 +97,16 @@ def _parse_list(parse_item: Callable[[str, str], Any], kind: str) -> Callable[[s
     return parse
 
 
+# a uniform schedule allocates steps + 1 knots, and a run stores one norm per step
+MAX_STEPS = 1_000_000
+
+
+def _parse_steps(key: str, value: str) -> int:
+    steps = _parse_int(key, value)
+    _check_range(steps <= MAX_STEPS, key, f"must be <= {MAX_STEPS}")
+    return steps
+
+
 _NUMBERS = _parse_list(_parse_float, "numbers")
 _ANY = (lambda v: True, "")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
@@ -112,8 +122,9 @@ _AGNOSTIC = (_NUMBERS, lambda v: len(v) == AGNOSTIC_ARITY, f"must have {AGNOSTIC
 # ExperimentConfig field named like the key with "." as "_".
 _KEYS: dict[str, tuple[Callable[[str, str], Any], Callable[[Any], bool], str]] = {
     "seed": (_parse_int, lambda v: 0 <= v < 2**64, "must fit in 64 bits"),
-    **dict.fromkeys(("frames", "channels", "height", "width", "steps"), (_parse_int, *_AT_LEAST_1)),
-    "knots": (_NUMBERS, *_ANY),
+    **dict.fromkeys(("frames", "channels", "height", "width"), (_parse_int, *_AT_LEAST_1)),
+    "steps": (_parse_steps, *_AT_LEAST_1),
+    "knots": (_NUMBERS, lambda v: len(v) <= MAX_STEPS + 1, f"must hold at most {MAX_STEPS + 1} values"),
     "reuse_interval": (_parse_int, *_AT_LEAST_1),
     "hf_lambda": (_parse_float, *_UNIT),
     "hf_rho": (_parse_float, *_UNIT),

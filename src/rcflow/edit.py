@@ -71,15 +71,6 @@ class EditReport:
     per_step_residual_norm: list[float] = dc_field(default_factory=list)
 
 
-def restoration_velocity(z0: LatentField, eps: LatentField) -> LatentField:
-    """Constant velocity carrying eps exactly back to z0 over [0, 1]."""
-    if z0.data.shape != eps.data.shape:
-        raise ShapeMismatchError(
-            f"restoration_velocity: shapes {z0.data.shape} and {eps.data.shape} differ"
-        )
-    return LatentField(z0.data - eps.data)
-
-
 def consistency_residual(
     field: VelocityField,
     z0: LatentField,
@@ -87,34 +78,21 @@ def consistency_residual(
     t: float,
     c_src: ConditionBundle,
 ) -> LatentField:
-    """Restoration velocity minus the model's source prediction at level t.
+    """Restoration velocity z0 - eps minus the model's source prediction at level t.
 
-    The prediction is taken on the analytic interpolation point between z0
-    and eps, so the residual never depends on the edit trajectory. Costs
-    one field evaluation.
+    z0 - eps is the constant velocity carrying eps exactly back to z0 over
+    [0, 1]. The prediction is taken on the analytic interpolation point
+    between z0 and eps, so the residual never depends on the edit
+    trajectory. Costs one field evaluation.
     """
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must lie in (0, 1], got {t}")
-    v0 = restoration_velocity(z0, eps)
     z_t = lerp_noise(z0, eps, t)
     v_src = checked_evaluate(field, z_t, t, c_src)
     try:
-        return LatentField(v0.data - v_src.data)
+        return LatentField((z0.data - eps.data) - v_src.data)
     except NumericError as exc:
         raise NumericError(f"residual became non-finite at t={t}") from exc
-
-
-def residual_corrected_velocity(v_tar: LatentField, v_res: LatentField, mask: Mask) -> LatentField:
-    """Target velocity plus the masked residual correction."""
-    if v_tar.data.shape != v_res.data.shape:
-        raise ShapeMismatchError(
-            f"residual_corrected_velocity: shapes {v_tar.data.shape} and {v_res.data.shape} differ"
-        )
-    if not mask.broadcasts_over(v_tar):
-        raise ShapeMismatchError(
-            f"residual_corrected_velocity: mask {mask.data.shape} does not fit {v_tar.data.shape}"
-        )
-    return LatentField(v_tar.data + mask.data * v_res.data)
 
 
 def _rms(data: np.ndarray) -> float:
@@ -158,19 +136,21 @@ def run_edit(
     if on_step is not None:
         on_step(float(knots[-1]), z_edit)
     residual: LatentField | None = None
+    residual_norm = 0.0
     recomputations = 0
 
     for i in range(steps, 0, -1):
         t_hi, t_lo = knots[i], knots[i - 1]
         if (steps - i) % r == 0:
             residual = consistency_residual(field, z0, eps, t_hi, c_src)
+            residual_norm = _rms(residual.data)
             recomputations += 1
         assert residual is not None
-        residual_norms.append(_rms(residual.data))
+        residual_norms.append(residual_norm)
 
         v_tar = checked_evaluate(field, z_edit, t_hi, c_tar)
         try:
-            v_edit = residual_corrected_velocity(v_tar, residual, mask)
+            v_edit = LatentField(v_tar.data + mask.data * residual.data)
             z_edit = euler_step(z_edit, t_hi, t_lo, v_edit)
             # released before detail transfer, where a step's memory peaks
             del v_tar, v_edit

@@ -82,11 +82,6 @@ class ConditionBundle:
             raise ShapeMismatchError("reference_frame must hold exactly one frame")
 
 
-def consistent_pair(src: ConditionBundle, tar: ConditionBundle) -> bool:
-    """True when only illumination-specific content differs between bundles."""
-    return src.agnostic_params == tar.agnostic_params and src.structural == tar.structural
-
-
 class VelocityField:
     """Deterministic (z, t, c) -> velocity interface.
 

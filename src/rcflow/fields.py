@@ -15,12 +15,13 @@ Field catalogue:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .engine import ConditionBundle, VelocityField, sample_noise
-from .errors import NumericError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .latent import LatentField, Mask, Shape, freq_decompose
 from .rng import derive_seed, uniform_open
 
@@ -243,29 +244,6 @@ def _posterior_mean_stable(z: np.ndarray, t: float, points: np.ndarray, weights:
     return np.tensordot(shifted / total, points, axes=(0, 0))
 
 
-class _MixtureField(VelocityField):
-    """Posterior-mean flow over one fixed dataset, shared by all conditions."""
-
-    def __init__(self, data: MixtureDataset):
-        self.data = data
-        self._points = data.points
-        self._weights = data.weights
-
-    def evaluate(self, z: LatentField, t: float, c: ConditionBundle) -> LatentField:
-        if t <= 0.0:
-            raise ValueError("mixture field is undefined at t <= 0")
-        if self._points.shape[1:] != z.data.shape:
-            raise ShapeMismatchError(
-                f"mixture components are {self._points.shape[1:]}, latent is {z.data.shape}"
-            )
-        mean = _posterior_mean_stable(z.data, t, self._points, self._weights)
-        return LatentField((mean - z.data) / t)
-
-
-def mixture_field(data: MixtureDataset) -> VelocityField:
-    return _MixtureField(data)
-
-
 def _smooth_perturbations(shape: Shape, count: int, seed: int) -> list[np.ndarray]:
     """Unit-peak low-frequency fields, shared across conditions by index."""
     out = []
@@ -277,61 +255,48 @@ def _smooth_perturbations(shape: Shape, count: int, seed: int) -> list[np.ndarra
     return out
 
 
-class _SceneMixtureField(VelocityField):
+class _MixtureField(VelocityField):
+    """Posterior-mean flow over the MixtureDataset `datasets(c)` gives for condition c."""
+
+    def __init__(self, datasets: Callable[[ConditionBundle], MixtureDataset]):
+        self._datasets = datasets
+
+    def evaluate(self, z: LatentField, t: float, c: ConditionBundle) -> LatentField:
+        if t <= 0.0:
+            raise ValueError("mixture field is undefined at t <= 0")
+        data = self._datasets(c)
+        if data.points.shape[1:] != z.data.shape:
+            raise ShapeMismatchError(
+                f"mixture components are {data.points.shape[1:]}, latent is {z.data.shape}"
+            )
+        mean = _posterior_mean_stable(z.data, t, data.points, data.weights)
+        return LatentField((mean - z.data) / t)
+
+
+def mixture_field(data: MixtureDataset) -> VelocityField:
+    """Posterior-mean flow over one fixed dataset, shared by all conditions."""
+    return _MixtureField(lambda c: data)
+
+
+def scene_mixture_field(
+    scene: ToyScene, components: int = 3, spread: float = 0.3, seed: int = 1
+) -> VelocityField:
     """Mixture flow whose components are built per condition bundle.
 
     Component 0 is the exact render; the rest add fixed smooth perturbations
     at `spread` amplitude. The perturbations are keyed by index only, so
     source and target datasets wander in parallel.
     """
+    if components < 1:
+        raise ValueError("components must be >= 1")
+    spread = float(spread)
+    perturbations = _smooth_perturbations(scene.shape, components - 1, seed)
 
-    def __init__(self, scene: ToyScene, components: int, spread: float, seed: int):
-        if components < 1:
-            raise ValueError("components must be >= 1")
-        self.scene = scene
-        self.spread = float(spread)
-        self._perturbations = _smooth_perturbations(scene.shape, components - 1, seed)
-        self._cache = _RenderCache(self._build_dataset)
-
-    def _build_dataset(self, c: ConditionBundle) -> MixtureDataset:
-        base = render_target(self.scene, c)
+    def build_dataset(c: ConditionBundle) -> MixtureDataset:
+        base = render_target(scene, c)
         members = [(1.0, base)]
-        for pattern in self._perturbations:
-            members.append((1.0, LatentField(base.data + self.spread * pattern)))
+        for pattern in perturbations:
+            members.append((1.0, LatentField(base.data + spread * pattern)))
         return MixtureDataset(tuple(members))
 
-    def evaluate(self, z: LatentField, t: float, c: ConditionBundle) -> LatentField:
-        if t <= 0.0:
-            raise ValueError("mixture field is undefined at t <= 0")
-        data = self._cache.get(c)
-        mean = _posterior_mean_stable(z.data, t, data.points, data.weights)
-        return LatentField((mean - z.data) / t)
-
-
-def scene_mixture_field(
-    scene: ToyScene, components: int = 3, spread: float = 0.3, seed: int = 1
-) -> VelocityField:
-    return _SceneMixtureField(scene, components, spread, seed)
-
-
-def oracle_posterior_mean(z: LatentField, t: float, data: MixtureDataset) -> LatentField:
-    """Literal extended-precision posterior mean; no stability tricks.
-
-    Test-only reference for the mixture fields. Raises NumericError when
-    every unshifted weight underflows, which is exactly the regime the
-    production path's max-shift exists for.
-    """
-    if t <= 0.0:
-        raise ValueError("posterior mean is undefined at t <= 0")
-    zl = z.data.astype(np.longdouble).reshape(-1)
-    total = np.longdouble(0.0)
-    accum = np.zeros_like(zl)
-    for weight, point in data.components:
-        pl = point.data.astype(np.longdouble).reshape(-1)
-        diff = zl - (1.0 - np.longdouble(t)) * pl
-        w = np.longdouble(weight) * np.exp(-(diff @ diff) / (2.0 * np.longdouble(t) ** 2))
-        total += w
-        accum += w * pl
-    if total <= 0.0:
-        raise NumericError("all mixture weights underflowed in the oracle")
-    return LatentField((accum / total).astype(np.float64).reshape(z.data.shape))
+    return _MixtureField(_RenderCache(build_dataset).get)

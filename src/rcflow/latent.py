@@ -51,21 +51,43 @@ def _as_field_array(data: np.ndarray | list, *, what: str = "field") -> np.ndarr
     return arr
 
 
-class LatentField:
-    """Immutable dense real field over (frames, channels, height, width)."""
+class _FrozenStack:
+    """Plumbing LatentField and Mask share: one read-only 4-axis array, immutable.
+
+    Equality and hashing go by shape and values, within one class only, so
+    a Mask never equals a LatentField holding the same values.
+    """
 
     __slots__ = ("data",)
 
-    def __init__(self, data: np.ndarray | list):
-        object.__setattr__(self, "data", _as_field_array(data))
-
     def __setattr__(self, name, value):
-        raise AttributeError("LatentField is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def shape(self) -> Shape:
         f, c, h, w = self.data.shape
         return Shape(f, c, h, w)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.data.shape == other.data.shape and bool(np.array_equal(self.data, other.data))
+
+    def __hash__(self):
+        return hash((self.data.shape, self.data.tobytes()))
+
+    def __repr__(self) -> str:
+        f, c, h, w = self.data.shape
+        return f"{type(self).__name__}({f}x{c}x{h}x{w})"
+
+
+class LatentField(_FrozenStack):
+    """Immutable dense real field over (frames, channels, height, width)."""
+
+    __slots__ = ()
+
+    def __init__(self, data: np.ndarray | list):
+        object.__setattr__(self, "data", _as_field_array(data))
 
     @classmethod
     def zeros(cls, shape: Shape) -> "LatentField":
@@ -78,27 +100,15 @@ class LatentField:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.data)))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LatentField):
-            return NotImplemented
-        return self.data.shape == other.data.shape and bool(np.array_equal(self.data, other.data))
 
-    def __hash__(self):
-        return hash((self.data.shape, self.data.tobytes()))
-
-    def __repr__(self) -> str:
-        f, c, h, w = self.data.shape
-        return f"LatentField({f}x{c}x{h}x{w})"
-
-
-class Mask:
+class Mask(_FrozenStack):
     """Per-pixel weight in [0, 1] with a single channel axis.
 
     Shape (frames, 1, height, width); broadcasts over any LatentField that
     shares frames/height/width.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ()
 
     def __init__(self, data: np.ndarray | list):
         arr = _as_field_array(data, what="mask")
@@ -107,14 +117,6 @@ class Mask:
         if float(arr.min()) < 0.0 or float(arr.max()) > 1.0:
             raise ValueError("mask values must lie in [0, 1]")
         object.__setattr__(self, "data", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mask is immutable")
-
-    @property
-    def shape(self) -> Shape:
-        f, c, h, w = self.data.shape
-        return Shape(f, c, h, w)
 
     @classmethod
     def ones(cls, shape: Shape) -> "Mask":
@@ -128,18 +130,6 @@ class Mask:
         f, _, h, w = self.data.shape
         g, _, fh, fw = field.data.shape
         return (f, h, w) == (g, fh, fw)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Mask):
-            return NotImplemented
-        return self.data.shape == other.data.shape and bool(np.array_equal(self.data, other.data))
-
-    def __hash__(self):
-        return hash((self.data.shape, self.data.tobytes()))
-
-    def __repr__(self) -> str:
-        f, _, h, w = self.data.shape
-        return f"Mask({f}x1x{h}x{w})"
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,16 @@ import numpy as np
 from .latent import LatentField, Mask
 
 
-def gradient_magnitude(frame: np.ndarray) -> np.ndarray:
-    gy, gx = np.gradient(frame)
+def _gradient_magnitude(data: np.ndarray) -> np.ndarray:
+    """Per-frame, per-channel spatial gradient magnitude of a 4-axis stack.
+
+    Finite differences as np.gradient takes them; an axis of length 1 has
+    no neighbours and contributes a zero gradient.
+    """
+    gy, gx = (
+        np.gradient(data, axis=axis) if data.shape[axis] > 1 else np.zeros_like(data)
+        for axis in (2, 3)
+    )
     return np.hypot(gy, gx)
 
 
@@ -28,15 +36,8 @@ def fg_structure_score(output: LatentField, source: LatentField, mask: Mask) -> 
     side) score 0.
     """
     inside = np.broadcast_to(mask.data > 0.5, output.data.shape)
-    grads_out = np.empty_like(output.data)
-    grads_src = np.empty_like(source.data)
-    f, c, _, _ = output.data.shape
-    for fi in range(f):
-        for ci in range(c):
-            grads_out[fi, ci] = gradient_magnitude(output.data[fi, ci])
-            grads_src[fi, ci] = gradient_magnitude(source.data[fi, ci])
-    a = grads_out[inside]
-    b = grads_src[inside]
+    a = _gradient_magnitude(output.data)[inside]
+    b = _gradient_magnitude(source.data)[inside]
     if a.size < 2 or float(a.std()) == 0.0 or float(b.std()) == 0.0:
         return 0.0
     return float(np.corrcoef(a, b)[0, 1])
@@ -84,15 +85,3 @@ class MetricsReport:
 
     def to_text(self) -> str:
         return "\n".join(self.to_lines()) + "\n"
-
-
-def parse_metrics(text: str) -> dict[str, float]:
-    """Inverse of to_text, for harness tests; every value parses as float."""
-    out: dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        out[key] = float(value)
-    return out

@@ -6,8 +6,9 @@ import pytest
 from rcflow.cli import main
 from rcflow.engine import sample_noise
 from rcflow.latent import Shape
-from rcflow.metrics import parse_metrics
 from rcflow.stackio import read_stack, write_stack
+
+from reference import parse_metrics
 
 BASE_CONFIG = """\
 seed = 7
@@ -69,6 +70,14 @@ class TestCommands:
         assert run("edit", config, tmp_path / "i") == 0
         metrics = parse_metrics((tmp_path / "i" / "metrics.txt").read_text())
         assert metrics["identity_error"] <= 1e-5
+
+    @pytest.mark.parametrize("axis", ["height", "width"])
+    def test_edit_single_row_or_column(self, tmp_path, axis):
+        # a length-1 spatial axis has no neighbours; its gradient counts as zero
+        config = write_config(tmp_path, BASE_CONFIG.replace(f"{axis} = 16", f"{axis} = 1"))
+        assert run("edit", config, tmp_path / "thin") == 0
+        metrics = parse_metrics((tmp_path / "thin" / "metrics.txt").read_text())
+        assert np.isfinite(metrics["fg_structure_score"])
 
     def test_flowedit_fresh_nfe(self, tmp_path):
         text = BASE_CONFIG + "fe_noise = fresh\nfe_navg = 2\n"

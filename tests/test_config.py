@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rcflow.config import (
     _KEYS,
+    MAX_STEPS,
     ExperimentConfig,
     build_bundles,
     build_experiment_config,
@@ -172,6 +173,8 @@ KEY_MESSAGES = [
     ("hf_rho = 2\nhf_lambda = 2", "key 'hf_lambda': must lie in [0, 1]"),
     ("fe_navg = 0\ntar.illum = 1\nfield = banana", "key 'field': must be one of constant|point|mixture"),
     ("field = banana\nbogus = 1", "unknown key 'bogus'"),
+    ("steps = 1000001", "key 'steps': must be <= 1000000"),
+    ("steps = 4611686018427387904", "key 'steps': must be <= 1000000"),
 ]
 
 
@@ -192,6 +195,13 @@ def test_unallocatable_steps_is_config_error():
     with pytest.raises(ConfigError) as info:
         make_cfg("steps = 4611686018427387904")
     assert str(info.value).startswith("key 'steps': ")
+
+
+def test_knots_count_is_bounded():
+    # one value more than a schedule of MAX_STEPS steps holds
+    with pytest.raises(ConfigError) as info:
+        make_cfg("knots = " + "0 " * (MAX_STEPS + 2))
+    assert str(info.value) == "key 'knots': must hold at most 1000001 values"
 
 
 _BIG = [str(2**62), str(2**64), str(10**30)]

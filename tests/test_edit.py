@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from rcflow.edit import (
-    EditConfig,
-    consistency_residual,
-    residual_corrected_velocity,
-    restoration_velocity,
-    run_edit,
-)
+from rcflow.edit import EditConfig, consistency_residual, run_edit
 from rcflow.engine import (
     ConditionBundle,
     VelocityField,
@@ -61,6 +55,11 @@ class CountingField(VelocityField):
         return self.inner.evaluate(z, t, c)
 
 
+def restoration_velocity(z0, eps):
+    """z0 - eps as consistency_residual forms it: the residual under a zero source prediction."""
+    return consistency_residual(constant_field(LatentField.zeros(z0.shape)), z0, eps, 0.5, SRC)
+
+
 class TestRestorationVelocity:
     def test_coincident_endpoints_give_zero(self):
         z = sample_noise(1, SHAPE)
@@ -97,7 +96,7 @@ class TestConsistencyResidual:
     def test_perfect_model_has_zero_residual(self):
         z0 = sample_noise(4, SHAPE)
         eps = sample_noise(5, SHAPE)
-        oracle = constant_field(restoration_velocity(z0, eps))
+        oracle = constant_field(LatentField(z0.data - eps.data))
         for t in (1.0, 0.6, 0.31, 0.02):
             res = consistency_residual(oracle, z0, eps, t, SRC)
             assert_allclose(res.data, 0.0, atol=1e-15)
@@ -113,6 +112,17 @@ class TestConsistencyResidual:
         z = sample_noise(7, SHAPE)
         with pytest.raises(ValueError):
             consistency_residual(constant_field(z), z, z, t, SRC)
+
+
+def residual_corrected_velocity(v_tar, v_res, mask):
+    """The velocity run_edit steps along, read off one unit step from eps = 0.
+
+    The source prediction is zero and eps = 0, so the residual is z0 = v_res,
+    and the step 0 + 1.0 * v returns v_tar + mask * v_res unchanged.
+    """
+    zero = LatentField.zeros(v_tar.shape)
+    config = EditConfig(make_uniform_schedule(1), mask, reuse_interval=1, hf_enabled=False)
+    return run_edit(SwitchField(SRC, zero, v_tar), v_res, SRC, TAR, zero, config).output
 
 
 class TestResidualCorrectedVelocity:
@@ -187,27 +197,43 @@ class TestRunEdit:
         assert report.nfe == steps + math.ceil(steps / r)
         assert len(report.per_step_residual_norm) == steps
 
-    def test_reuse_interval_one_matches_uncached_reference(self):
-        # independent no-cache loop: recompute the residual at every step
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("mask_kind", ["full", "fractional"])
+    def test_matches_independent_reference_loop(self, r, mask_kind):
+        # independent loop with its own cached residual, refreshed on the
+        # same steps; every step's latent and residual norm must agree bit
+        # for bit (the mixture collapses onto a component at small t, so the
+        # output alone hides most of the trajectory)
         scene = ToyScene(SHAPE)
         field = scene_mixture_field(scene, components=3, spread=0.25, seed=1)
         z0 = render_target(scene, SRC)
         eps = sample_noise(20, SHAPE)
-        config = edit_config(steps=20, r=1)
-        report = run_edit(field, z0, SRC, TAR, eps, config)
+        if mask_kind == "full":
+            mask = Mask.ones(SHAPE)
+        else:
+            mask = Mask(np.linspace(0.0, 1.0, SHAPE.count).reshape(2, 1, 16, 16))
+        config = edit_config(steps=20, r=r, mask=mask)
+        seen = []
+        report = run_edit(field, z0, SRC, TAR, eps, config, lambda t, z: seen.append(z.data.tobytes()))
 
         knots = config.schedule.knots
         z = eps
-        v0 = restoration_velocity(z0, eps)
+        expected = [z.data.tobytes()]
+        norms = []
         for i in range(20, 0, -1):
             t_hi, t_lo = knots[i], knots[i - 1]
-            v_src = field.evaluate(lerp_noise(z0, eps, t_hi), t_hi, SRC)
-            res = LatentField(v0.data - v_src.data)
+            if (20 - i) % r == 0:
+                v_src = field.evaluate(lerp_noise(z0, eps, t_hi), t_hi, SRC)
+                res = (z0.data - eps.data) - v_src.data
+            norms.append(float(np.sqrt(np.mean(res * res))))
             v_tar = field.evaluate(z, t_hi, TAR)
-            v = LatentField(v_tar.data + config.mask.data * res.data)
-            z = LatentField(z.data + (t_hi - t_lo) * v.data)
-            z = hf_transfer(z, lerp_noise(z0, eps, t_lo), config.mask, 0.5, 0.8)
+            v = v_tar.data + mask.data * res
+            z = LatentField(z.data + (t_hi - t_lo) * v)
+            z = hf_transfer(z, lerp_noise(z0, eps, t_lo), mask, 0.5, 0.8)
+            expected.append(z.data.tobytes())
+        assert seen == expected
         assert report.output.data.tobytes() == z.data.tobytes()
+        assert report.per_step_residual_norm == norms
 
     def test_time_ramp_reuse_gap_closed_form(self):
         # with v = k*t under both conditions, the cached residual lags by

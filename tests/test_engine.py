@@ -6,7 +6,6 @@ from rcflow.engine import (
     ConditionBundle,
     Schedule,
     VelocityField,
-    consistent_pair,
     euler_step,
     generate,
     make_uniform_schedule,
@@ -175,13 +174,6 @@ class TestConditionBundle:
         b = ConditionBundle(illum_params=(1.0, 2.0), agnostic_params=(3.0,))
         assert a == b
         assert a != ConditionBundle(illum_params=(1.0, 2.1), agnostic_params=(3.0,))
-
-    def test_consistent_pair_requires_shared_agnostics(self):
-        a = ConditionBundle(illum_params=(1.0,), agnostic_params=(3.0,))
-        b = ConditionBundle(illum_params=(9.0,), agnostic_params=(3.0,))
-        c = ConditionBundle(illum_params=(9.0,), agnostic_params=(4.0,))
-        assert consistent_pair(a, b)
-        assert not consistent_pair(a, c)
 
     def test_reference_frame_must_be_single_frame(self):
         with pytest.raises(ShapeMismatchError):

@@ -76,6 +76,27 @@ class TestMask:
         assert not mask.broadcasts_over(LatentField.zeros(Shape(2, 3, 4, 8)))
 
 
+class TestFieldAndMaskPlumbing:
+    @pytest.mark.parametrize("cls,name", [(LatentField, "LatentField"), (Mask, "Mask")])
+    def test_shared_contract(self, cls, name):
+        a = cls(np.full((2, 1, 3, 4), 0.5))
+        b = cls(np.full((2, 1, 3, 4), 0.5))
+        assert a == b and hash(a) == hash(b)
+        assert a != cls(np.full((2, 1, 3, 4), 0.25))
+        assert a.shape == Shape(2, 1, 3, 4)
+        assert repr(a) == f"{name}(2x1x3x4)"
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            a.data = b.data
+        assert not hasattr(a, "__dict__")
+
+    def test_mask_is_never_a_field(self):
+        values = np.ones((1, 1, 2, 2))
+        mask, field = Mask(values), LatentField(values)
+        assert not isinstance(mask, LatentField) and not isinstance(field, Mask)
+        assert mask != field and field != mask
+        assert len({mask, field}) == 2
+
+
 class TestLerpNoise:
     def test_endpoints_exact(self):
         z0 = random_field(4, (2, 1, 4, 4))

