@@ -24,7 +24,8 @@ from . import config as cfgmod
 from .edit import run_edit
 from .engine import generate, sample_noise
 from .errors import ConfigError, NumericError
-from .fields import render_target
+# not called here; perfbench/tracing.py rebinds the name in this module, as in config and fields
+from .fields import render_target  # noqa: F401
 from .flowedit import equivalence_check, flowedit_run
 from .latent import rel_error
 from .metrics import MetricsReport, bg_change_rms, fg_structure_score, rms_gap
@@ -66,31 +67,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(cfg: cfgmod.ExperimentConfig) -> Path:
-    out = Path(cfg.out_dir)
-    if not out.is_absolute():
-        out = cfg.base_dir / out
+    out = cfg.base_dir / cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_run_outputs(out: Path, field, report: MetricsReport) -> None:
+def _write_run_outputs(out: Path, command: str, field, report: MetricsReport) -> None:
     write_stack(out / "output.fps", field)
     lo, hi = export_frames(out, field, channel=0)
     report.export_channel = 0
     report.export_min = lo
     report.export_max = hi
     write_text(out / "metrics.txt", report.to_text())
+    print(f"{command}: nfe={report.nfe} out={out}")
 
 
-def cmd_generate(cfg: cfgmod.ExperimentConfig) -> int:
+def cmd_generate(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
     scene = cfgmod.build_scene(cfg)
     _, tar = cfgmod.build_bundles(cfg)
     field = cfgmod.build_field(cfg, scene)
     eps = sample_noise(cfg.seed, cfgmod.build_shape(cfg))
     output, nfe = generate(field, tar, eps, cfgmod.build_schedule(cfg))
-    out = _out_dir(cfg)
-    _write_run_outputs(out, output, MetricsReport(nfe=nfe))
-    print(f"generate: nfe={nfe} out={out}")
+    _write_run_outputs(out, "generate", output, MetricsReport(nfe=nfe))
     return EXIT_OK
 
 
@@ -115,20 +113,17 @@ class _EditSetup:
         return self.src == self.tar
 
 
-def cmd_edit(cfg: cfgmod.ExperimentConfig) -> int:
+def cmd_edit(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
     setup = _EditSetup(cfg)
     report = setup.run()
-    source_render = render_target(setup.scene, setup.src)
     metrics = MetricsReport(
         nfe=report.nfe,
-        fg_structure_score=fg_structure_score(report.output, source_render, setup.mask),
-        bg_change_rms=bg_change_rms(report.output, source_render, setup.mask),
+        fg_structure_score=fg_structure_score(report.output, setup.z0, setup.mask),
+        bg_change_rms=bg_change_rms(report.output, setup.z0, setup.mask),
     )
     if setup.identity_run:
         metrics.identity_error = rel_error(report.output, setup.z0)
-    out = _out_dir(cfg)
-    _write_run_outputs(out, report.output, metrics)
-    print(f"edit: nfe={report.nfe} out={out}")
+    _write_run_outputs(out, "edit", report.output, metrics)
     strict_identity = (
         setup.identity_run
         and cfg.reuse_interval == 1
@@ -143,19 +138,17 @@ def cmd_edit(cfg: cfgmod.ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_flowedit(cfg: cfgmod.ExperimentConfig) -> int:
+def cmd_flowedit(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
     scene = cfgmod.build_scene(cfg)
     src, tar = cfgmod.build_bundles(cfg)
     velocity = cfgmod.build_field(cfg, scene)
     z0 = cfgmod.build_input(cfg, scene, src)
     output, nfe = flowedit_run(velocity, z0, src, tar, cfgmod.build_flowedit_config(cfg))
-    out = _out_dir(cfg)
-    _write_run_outputs(out, output, MetricsReport(nfe=nfe))
-    print(f"flowedit: nfe={nfe} out={out}")
+    _write_run_outputs(out, "flowedit", output, MetricsReport(nfe=nfe))
     return EXIT_OK
 
 
-def cmd_equivalence(cfg: cfgmod.ExperimentConfig) -> int:
+def cmd_equivalence(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
     scene = cfgmod.build_scene(cfg)
     src, tar = cfgmod.build_bundles(cfg)
     velocity = cfgmod.build_field(cfg, scene)
@@ -163,7 +156,6 @@ def cmd_equivalence(cfg: cfgmod.ExperimentConfig) -> int:
     report = equivalence_check(
         velocity, z0, src, tar, cfgmod.build_schedule(cfg), cfg.seed, cfg.equiv_tol
     )
-    out = _out_dir(cfg)
     write_text(out / "equivalence.txt", "\n".join(report.to_lines()) + "\n")
     print(
         f"equivalence: max_deviation={report.max_deviation:.3g} tol={report.tol:.3g} "
@@ -172,7 +164,7 @@ def cmd_equivalence(cfg: cfgmod.ExperimentConfig) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_sweep_reuse(cfg: cfgmod.ExperimentConfig) -> int:
+def cmd_sweep_reuse(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
     setup = _EditSetup(cfg)
     reports = {1: setup.run(reuse_interval=1)}
     for r in cfg.sweep_r:
@@ -187,7 +179,6 @@ def cmd_sweep_reuse(cfg: cfgmod.ExperimentConfig) -> int:
         if setup.identity_run:
             row += f" {rel_error(reports[r].output, setup.z0):.9g}"
         lines.append(row)
-    out = _out_dir(cfg)
     write_text(out / "sweep.txt", "\n".join(lines) + "\n")
     for line in lines:
         print(line)
@@ -209,9 +200,13 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         cfg = cfgmod.load_config(args.config, overrides)
-        code = _COMMANDS[args.command](cfg)
+        code = _COMMANDS[args.command](cfg, _out_dir(cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    # input files are read through ConfigError, so this is the output directory or a file in it
+    except OSError as exc:
+        print(f"config error: key 'out_dir': {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericError, ValueError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

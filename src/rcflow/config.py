@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field as dc_field
+from dataclasses import Field, dataclass, field as dc_field, fields
 from pathlib import Path
 from typing import Any
 
@@ -116,46 +116,16 @@ _TEXT = (_parse_text, *_ANY)
 _ILLUM = (_NUMBERS, lambda v: len(v) == ILLUM_ARITY, f"must have {ILLUM_ARITY} values")
 _AGNOSTIC = (_NUMBERS, lambda v: len(v) == AGNOSTIC_ARITY, f"must have {AGNOSTIC_ARITY} values")
 
-# Every scalar key in the order it is checked, so the first bad key of a
-# file is the one reported: its parser, a range check on the parsed value,
-# and the requirement an out-of-range value is told. The value lands in the
-# ExperimentConfig field named like the key with "." as "_".
-_KEYS: dict[str, tuple[Callable[[str, str], Any], Callable[[Any], bool], str]] = {
-    "seed": (_parse_int, lambda v: 0 <= v < 2**64, "must fit in 64 bits"),
-    **dict.fromkeys(("frames", "channels", "height", "width"), (_parse_int, *_AT_LEAST_1)),
-    "steps": (_parse_steps, *_AT_LEAST_1),
-    "knots": (_NUMBERS, lambda v: len(v) <= MAX_STEPS + 1, f"must hold at most {MAX_STEPS + 1} values"),
-    "reuse_interval": (_parse_int, *_AT_LEAST_1),
-    "hf_lambda": (_parse_float, *_UNIT),
-    "hf_rho": (_parse_float, *_UNIT),
-    "hf_enabled": (_parse_bool, *_ANY),
-    "mask": (_parse_text, bool, "must not be empty"),
-    "field": (
-        _parse_text,
-        lambda v: v in ("constant", "point", "mixture"),
-        "must be one of constant|point|mixture",
-    ),
-    "constant_value": (_parse_float, *_ANY),
-    "scene.mask_threshold": (_parse_float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "mixture.components": (_parse_int, *_AT_LEAST_1),
-    "mixture.spread": (_parse_float, *_NON_NEGATIVE),
-    "mixture.seed": (_parse_int, *_ANY),
-    "src.illum": _ILLUM,
-    "src.agnostic": _AGNOSTIC,
-    "src.reference_file": _TEXT,
-    "src.structural_file": _TEXT,
-    "tar.illum": _ILLUM,
-    "tar.agnostic": _AGNOSTIC,
-    "tar.reference_file": _TEXT,
-    "tar.structural_file": _TEXT,
-    "input": _TEXT,
-    "out_dir": _TEXT,
-    "equiv_tol": (_parse_float, *_NON_NEGATIVE),
-    "identity_tol": (_parse_float, *_NON_NEGATIVE),
-    "fe_noise": (_parse_text, lambda v: v in ("fixed", "fresh"), "must be fixed or fresh"),
-    "fe_navg": (_parse_int, *_AT_LEAST_1),
-    "sweep_r": (_parse_list(_parse_int, "integers"), *_ANY),
-}
+
+def _key(
+    default: Any,
+    parse: Callable[[str, str], Any],
+    ok: Callable[[Any], bool],
+    requirement: str,
+    key: str | None = None,
+) -> Any:
+    """A scalar config key stored in the field it declares; `key` is its name when not the field's."""
+    return dc_field(default=default, metadata=dict(key=key, parse=parse, ok=ok, requirement=requirement))
 
 
 @dataclass(frozen=True)
@@ -165,45 +135,61 @@ class ComponentSpec:
     value: float | None = None
 
 
+# Every scalar key is one field declared with _key (its parser, a range check
+# on the parsed value, and the requirement an out-of-range value is told), in
+# the order keys are checked, so the first bad key of a file is the one reported.
 @dataclass
 class ExperimentConfig:
-    seed: int = 0
-    frames: int = 2
-    channels: int = 1
-    height: int = 16
-    width: int = 16
-    steps: int = 50
-    knots: tuple[float, ...] | None = None
-    reuse_interval: int = 10
-    hf_lambda: float = 0.5
-    hf_rho: float = 0.8
-    hf_enabled: bool = True
-    mask: str = "scene"
-    field: str = "point"
-    constant_value: float = 0.0
-    scene_mask_threshold: float = 0.3
-    mixture_components: int = 3
-    mixture_spread: float = 0.25
-    mixture_seed: int = 1
+    seed: int = _key(0, _parse_int, lambda v: 0 <= v < 2**64, "must fit in 64 bits")
+    frames: int = _key(2, _parse_int, *_AT_LEAST_1)
+    channels: int = _key(1, _parse_int, *_AT_LEAST_1)
+    height: int = _key(16, _parse_int, *_AT_LEAST_1)
+    width: int = _key(16, _parse_int, *_AT_LEAST_1)
+    steps: int = _key(50, _parse_steps, *_AT_LEAST_1)
+    knots: tuple[float, ...] | None = _key(
+        None, _NUMBERS, lambda v: len(v) <= MAX_STEPS + 1, f"must hold at most {MAX_STEPS + 1} values"
+    )
+    reuse_interval: int = _key(10, _parse_int, *_AT_LEAST_1)
+    hf_lambda: float = _key(0.5, _parse_float, *_UNIT)
+    hf_rho: float = _key(0.8, _parse_float, *_UNIT)
+    hf_enabled: bool = _key(True, _parse_bool, *_ANY)
+    mask: str = _key("scene", _parse_text, bool, "must not be empty")
+    field: str = _key(
+        "point",
+        _parse_text,
+        lambda v: v in ("constant", "point", "mixture"),
+        "must be one of constant|point|mixture",
+    )
+    constant_value: float = _key(0.0, _parse_float, *_ANY)
+    scene_mask_threshold: float = _key(
+        0.3, _parse_float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)", "scene.mask_threshold"
+    )
+    mixture_components: int = _key(3, _parse_int, *_AT_LEAST_1, "mixture.components")
+    mixture_spread: float = _key(0.25, _parse_float, *_NON_NEGATIVE, "mixture.spread")
+    mixture_seed: int = _key(1, _parse_int, *_ANY, "mixture.seed")
     explicit_components: tuple[ComponentSpec, ...] = ()
-    src_illum: tuple[float, ...] = (1.0, 0.0, 0.0, 0.2)
-    src_agnostic: tuple[float, ...] = (5.0, 3.0, 0.5)
-    src_reference_file: str | None = None
-    src_structural_file: str | None = None
-    tar_illum: tuple[float, ...] = (2.0, 0.3, 0.8, 0.6)
-    tar_agnostic: tuple[float, ...] = (5.0, 3.0, 0.5)
-    tar_reference_file: str | None = None
-    tar_structural_file: str | None = None
-    input: str | None = None
-    out_dir: str = "out"
-    equiv_tol: float = 1e-6
-    identity_tol: float = 1e-5
-    fe_noise: str = "fixed"
-    fe_navg: int = 1
-    sweep_r: tuple[int, ...] = (1, 2, 5, 10)
+    src_illum: tuple[float, ...] = _key((1.0, 0.0, 0.0, 0.2), *_ILLUM, "src.illum")
+    src_agnostic: tuple[float, ...] = _key((5.0, 3.0, 0.5), *_AGNOSTIC, "src.agnostic")
+    src_reference_file: str | None = _key(None, *_TEXT, "src.reference_file")
+    src_structural_file: str | None = _key(None, *_TEXT, "src.structural_file")
+    tar_illum: tuple[float, ...] = _key((2.0, 0.3, 0.8, 0.6), *_ILLUM, "tar.illum")
+    tar_agnostic: tuple[float, ...] = _key((5.0, 3.0, 0.5), *_AGNOSTIC, "tar.agnostic")
+    tar_reference_file: str | None = _key(None, *_TEXT, "tar.reference_file")
+    tar_structural_file: str | None = _key(None, *_TEXT, "tar.structural_file")
+    input: str | None = _key(None, *_TEXT)
+    out_dir: str = _key("out", *_TEXT)
+    equiv_tol: float = _key(1e-6, _parse_float, *_NON_NEGATIVE)
+    identity_tol: float = _key(1e-5, _parse_float, *_NON_NEGATIVE)
+    fe_noise: str = _key("fixed", _parse_text, lambda v: v in ("fixed", "fresh"), "must be fixed or fresh")
+    fe_navg: int = _key(1, _parse_int, *_AT_LEAST_1)
+    sweep_r: tuple[int, ...] = _key((1, 2, 5, 10), _parse_list(_parse_int, "integers"), *_ANY)
 
     # side table used by build_* helpers
     base_dir: Path = dc_field(default_factory=Path)
+
+
+# each scalar key's field, in check order
+_KEYS: dict[str, Field] = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig) if f.metadata}
 
 
 def _check_range(ok: bool, key: str, requirement: str) -> None:
@@ -225,11 +211,11 @@ def build_experiment_config(
             raise ConfigError(f"unknown key '{key}'")
 
     cfg = ExperimentConfig(base_dir=base_dir or Path())
-    for key, (parse, ok, requirement) in _KEYS.items():
+    for key, spec in _KEYS.items():
         if key in known:
-            value = parse(key, known[key])
-            _check_range(ok(value), key, requirement)
-            setattr(cfg, key.replace(".", "_"), value)
+            value = spec.metadata["parse"](key, known[key])
+            _check_range(spec.metadata["ok"](value), key, spec.metadata["requirement"])
+            setattr(cfg, spec.name, value)
 
     if components:
         _check_range(cfg.field == "mixture", "component.*", "only valid with field = mixture")
@@ -306,11 +292,6 @@ def build_scene(cfg: ExperimentConfig) -> ToyScene:
     return ToyScene(build_shape(cfg), mask_threshold=cfg.scene_mask_threshold)
 
 
-def _resolve(cfg: ExperimentConfig, relative: str) -> Path:
-    path = Path(relative)
-    return path if path.is_absolute() else cfg.base_dir / path
-
-
 def _load_stack(
     cfg: ExperimentConfig,
     key: str,
@@ -322,7 +303,8 @@ def _load_stack(
     if relative is None:
         return None
     try:
-        loaded = read(_resolve(cfg, relative))
+        # relative to the config's directory; joining keeps an absolute path as it is
+        loaded = read(cfg.base_dir / relative)
     except OSError as exc:
         raise ConfigError(f"key '{key}': cannot read {relative}: {exc}") from exc
     except (ValueError, NumericError) as exc:

@@ -24,6 +24,7 @@ from .engine import (
     euler_step,
     sample_noise,
 )
+from .errors import NumericError
 from .latent import LatentField, Mask, lerp_noise, rel_error
 from .rng import derive_seed
 
@@ -99,7 +100,10 @@ def flowedit_run(
             v_src = checked_evaluate(field, z_t, t_hi, c_src)
             nfe += 2
             total += v_tar.data - v_src.data
-        z_edit = euler_step(z_edit, t_hi, t_lo, LatentField(total / config.n_avg))
+        try:
+            z_edit = euler_step(z_edit, t_hi, t_lo, LatentField(total / config.n_avg))
+        except NumericError as exc:
+            raise NumericError(f"edit latent became non-finite stepping to t={t_lo}") from exc
         if on_step is not None:
             on_step(float(t_lo), z_edit)
     return z_edit, nfe

@@ -3,9 +3,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rcflow import config as cfgmod
 from rcflow.cli import main
+from rcflow.edit import run_edit
 from rcflow.engine import sample_noise
 from rcflow.latent import Shape
+from rcflow.metrics import bg_change_rms, fg_structure_score
 from rcflow.stackio import read_stack, write_stack
 
 from reference import parse_metrics
@@ -183,6 +186,45 @@ class TestCliContract:
         write_stack(tmp_path / "input.fps", z0)
         config = write_config(tmp_path, BASE_CONFIG + "input = input.fps\n")
         assert run("edit", config, tmp_path / "inp") == 0
+
+        # the metrics score the edit against the stack it edited
+        metrics = parse_metrics((tmp_path / "inp" / "metrics.txt").read_text())
+        cfg = cfgmod.load_config(config)
+        scene = cfgmod.build_scene(cfg)
+        src, tar = cfgmod.build_bundles(cfg)
+        mask = cfgmod.build_mask(cfg, scene, src)
+        edited = read_stack(tmp_path / "input.fps")
+        eps = sample_noise(cfg.seed, cfgmod.build_shape(cfg))
+        output = run_edit(
+            cfgmod.build_field(cfg, scene), edited, src, tar, eps, cfgmod.build_edit_config(cfg, mask)
+        ).output
+        assert metrics["bg_change_rms"] == float(f"{bg_change_rms(output, edited, mask):.9g}")
+        assert metrics["fg_structure_score"] == float(f"{fg_structure_score(output, edited, mask):.9g}")
+
+    def test_paths_resolve_against_the_config_directory(self, tmp_path):
+        write_stack(tmp_path / "input.fps", sample_noise(21, Shape(2, 1, 16, 16)))
+        (tmp_path / "cfg").mkdir()
+        text = BASE_CONFIG + f"input = {tmp_path / 'input.fps'}\nout_dir = rel\n"
+        config = write_config(tmp_path / "cfg", text)
+        assert main(["edit", "--config", str(config)]) == 0
+        assert (tmp_path / "cfg" / "rel" / "output.fps").is_file()
+
+    @pytest.mark.parametrize(
+        "command,out,taken",
+        [
+            ("generate", "file", None),  # --out names an existing file
+            ("equivalence", "file/out", None),  # --out names a path under a file
+            ("edit", "out", "output.fps"),  # a directory holds an output file's name
+            ("sweep-reuse", "out", "sweep.txt"),
+        ],
+    )
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, command, out, taken):
+        (tmp_path / "file").write_text("taken\n")
+        if taken is not None:
+            (tmp_path / out / taken).mkdir(parents=True)
+        config = write_config(tmp_path, BASE_CONFIG.replace("steps = 50", "steps = 10"))
+        assert run(command, config, tmp_path / out) == 2
+        assert capsys.readouterr().err.startswith("config error: key 'out_dir': ")
 
     @pytest.mark.parametrize(
         "key,shape",

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +192,12 @@ def test_key_table_names_every_scalar_field():
     assert {key.replace(".", "_") for key in _KEYS} == fields - {"explicit_components", "base_dir"}
 
 
+def test_readme_names_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    missing = [key for key in _KEYS if not re.search(rf"`{re.escape(key)}`|^{re.escape(key)} = ", readme, re.M)]
+    assert not missing, f"README.md does not name {missing}"
+
+
 def test_unallocatable_steps_is_config_error():
     # numpy refuses a 2**62 + 1 knot grid before allocating anything
     with pytest.raises(ConfigError) as info:
@@ -243,6 +251,19 @@ def entry_dicts(draw):
 def test_any_entries_build_or_raise_config_error(entries):
     try:
         cfg = build_experiment_config(entries)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+
+
+_LINE_PARTS = st.one_of(st.sampled_from([*_FUZZ_KEYS, "=", " = ", "#", "\n", "\r\n", ","]), st.text(max_size=4))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.text(), st.lists(_LINE_PARTS, max_size=30).map("".join)))
+def test_any_text_loads_or_raises_config_error(text):
+    try:
+        cfg = build_experiment_config(parse_config_text(text))
     except ConfigError:
         return
     assert isinstance(cfg, ExperimentConfig)

@@ -8,6 +8,7 @@ from rcflow.engine import (
     make_uniform_schedule,
     sample_noise,
 )
+from rcflow.errors import NumericError
 from rcflow.fields import (
     MixtureDataset,
     ToyScene,
@@ -17,7 +18,7 @@ from rcflow.fields import (
     scene_mixture_field,
 )
 from rcflow.flowedit import FlowEditConfig, NoiseMode, equivalence_check, flowedit_run
-from rcflow.latent import Mask, Shape, rel_error
+from rcflow.latent import LatentField, Mask, Shape, rel_error
 
 SHAPE = Shape(2, 1, 16, 16)
 SRC = ConditionBundle(illum_params=(1.0, 0.0, 0.0, 0.2), agnostic_params=(5.0, 3.0, 0.5))
@@ -98,6 +99,18 @@ class TestFlowEditRun:
         out_fixed, _ = flowedit_run(field, z0, SRC, TAR, fixed)
         out_fresh, _ = flowedit_run(field, z0, SRC, TAR, fresh)
         assert not np.array_equal(out_fixed.data, out_fresh.data)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_intermediate_names_timestep(self):
+        # velocities stay finite; only the accumulated edit latent overflows
+        class TargetOnly(VelocityField):
+            def evaluate(self, z, t, c):
+                return LatentField.full(z.shape, 0.0 if c == SRC else 1.7e308)
+
+        shape = Shape(1, 1, 2, 2)
+        config = FlowEditConfig(schedule=make_uniform_schedule(4))
+        with pytest.raises(NumericError, match="stepping to t=0.75"):
+            flowedit_run(TargetOnly(), LatentField.full(shape, 1.7e308), SRC, TAR, config)
 
 
 class TestEquivalence:
