@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 from . import config as cfgmod
@@ -28,7 +29,7 @@ from .errors import ConfigError, NumericError
 from .fields import render_target  # noqa: F401
 from .flowedit import equivalence_check, flowedit_run
 from .latent import rel_error
-from .metrics import MetricsReport, bg_change_rms, fg_structure_score, rms_gap
+from .metrics import bg_change_rms, fg_structure_score, key_values, rms_gap
 from .stackio import export_frames, write_stack, write_text
 
 EXIT_OK = 0
@@ -72,89 +73,90 @@ def _out_dir(cfg: cfgmod.ExperimentConfig) -> Path:
     return out
 
 
-def _write_run_outputs(out: Path, command: str, field, report: MetricsReport) -> None:
+def _write_run_outputs(out: Path, command: str, field, nfe: int, **metrics) -> None:
     write_stack(out / "output.fps", field)
     lo, hi = export_frames(out, field, channel=0)
-    report.export_channel = 0
-    report.export_min = lo
-    report.export_max = hi
-    write_text(out / "metrics.txt", report.to_text())
-    print(f"{command}: nfe={report.nfe} out={out}")
+    text = key_values(nfe=nfe, **metrics, export_channel=0, export_min=lo, export_max=hi)
+    write_text(out / "metrics.txt", text)
+    print(f"{command}: nfe={nfe} out={out}")
 
 
-def cmd_generate(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
-    scene = cfgmod.build_scene(cfg)
-    _, tar = cfgmod.build_bundles(cfg)
-    field = cfgmod.build_field(cfg, scene)
-    eps = sample_noise(cfg.seed, cfgmod.build_shape(cfg))
-    output, nfe = generate(field, tar, eps, cfgmod.build_schedule(cfg))
-    _write_run_outputs(out, "generate", output, MetricsReport(nfe=nfe))
-    return EXIT_OK
+class _Setup:
+    """What the commands run on, materialized from one config.
 
-
-class _EditSetup:
-    """Everything an edit run needs, materialized from one config."""
+    The mask, the input stack and the noise are built on first use, so each
+    command reads only the files it needs.
+    """
 
     def __init__(self, cfg: cfgmod.ExperimentConfig):
         self.cfg = cfg
         self.scene = cfgmod.build_scene(cfg)
         self.src, self.tar = cfgmod.build_bundles(cfg)
         self.velocity = cfgmod.build_field(cfg, self.scene)
-        self.mask = cfgmod.build_mask(cfg, self.scene, self.src)
-        self.z0 = cfgmod.build_input(cfg, self.scene, self.src)
-        self.eps = sample_noise(cfg.seed, cfgmod.build_shape(cfg))
+        self.identity_run = self.src == self.tar
 
-    def run(self, reuse_interval: int | None = None):
+    @cached_property
+    def mask(self):
+        return cfgmod.build_mask(self.cfg, self.scene, self.src)
+
+    @cached_property
+    def z0(self):
+        return cfgmod.build_input(self.cfg, self.scene, self.src)
+
+    @cached_property
+    def eps(self):
+        return sample_noise(self.cfg.seed, cfgmod.build_shape(self.cfg))
+
+    def edit(self, reuse_interval: int | None = None):
         edit_cfg = cfgmod.build_edit_config(self.cfg, self.mask, reuse_interval=reuse_interval)
         return run_edit(self.velocity, self.z0, self.src, self.tar, self.eps, edit_cfg)
 
-    @property
-    def identity_run(self) -> bool:
-        return self.src == self.tar
+
+def cmd_generate(setup: _Setup, out: Path) -> int:
+    output, nfe = generate(setup.velocity, setup.tar, setup.eps, cfgmod.build_schedule(setup.cfg))
+    _write_run_outputs(out, "generate", output, nfe)
+    return EXIT_OK
 
 
-def cmd_edit(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
-    setup = _EditSetup(cfg)
-    report = setup.run()
-    metrics = MetricsReport(
-        nfe=report.nfe,
+def cmd_edit(setup: _Setup, out: Path) -> int:
+    cfg = setup.cfg
+    report = setup.edit()
+    identity_error = rel_error(report.output, setup.z0) if setup.identity_run else None
+    _write_run_outputs(
+        out,
+        "edit",
+        report.output,
+        report.nfe,
+        identity_error=identity_error,
         fg_structure_score=fg_structure_score(report.output, setup.z0, setup.mask),
         bg_change_rms=bg_change_rms(report.output, setup.z0, setup.mask),
     )
-    if setup.identity_run:
-        metrics.identity_error = rel_error(report.output, setup.z0)
-    _write_run_outputs(out, "edit", report.output, metrics)
     strict_identity = (
         setup.identity_run
         and cfg.reuse_interval == 1
         and float(setup.mask.data.min()) == 1.0
     )
-    if strict_identity and metrics.identity_error > cfg.identity_tol:
+    if strict_identity and identity_error > cfg.identity_tol:
         print(
-            f"identity check failed: error {metrics.identity_error:.3g} > tol {cfg.identity_tol:.3g}",
+            f"identity check failed: error {identity_error:.3g} > tol {cfg.identity_tol:.3g}",
             file=sys.stderr,
         )
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
-def cmd_flowedit(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
-    scene = cfgmod.build_scene(cfg)
-    src, tar = cfgmod.build_bundles(cfg)
-    velocity = cfgmod.build_field(cfg, scene)
-    z0 = cfgmod.build_input(cfg, scene, src)
-    output, nfe = flowedit_run(velocity, z0, src, tar, cfgmod.build_flowedit_config(cfg))
-    _write_run_outputs(out, "flowedit", output, MetricsReport(nfe=nfe))
+def cmd_flowedit(setup: _Setup, out: Path) -> int:
+    output, nfe = flowedit_run(
+        setup.velocity, setup.z0, setup.src, setup.tar, cfgmod.build_flowedit_config(setup.cfg)
+    )
+    _write_run_outputs(out, "flowedit", output, nfe)
     return EXIT_OK
 
 
-def cmd_equivalence(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
-    scene = cfgmod.build_scene(cfg)
-    src, tar = cfgmod.build_bundles(cfg)
-    velocity = cfgmod.build_field(cfg, scene)
-    z0 = cfgmod.build_input(cfg, scene, src)
+def cmd_equivalence(setup: _Setup, out: Path) -> int:
+    cfg = setup.cfg
     report = equivalence_check(
-        velocity, z0, src, tar, cfgmod.build_schedule(cfg), cfg.seed, cfg.equiv_tol
+        setup.velocity, setup.z0, setup.src, setup.tar, cfgmod.build_schedule(cfg), cfg.seed, cfg.equiv_tol
     )
     write_text(out / "equivalence.txt", "\n".join(report.to_lines()) + "\n")
     print(
@@ -164,17 +166,13 @@ def cmd_equivalence(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_sweep_reuse(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
-    setup = _EditSetup(cfg)
-    reports = {1: setup.run(reuse_interval=1)}
-    for r in cfg.sweep_r:
-        if r not in reports:
-            reports[r] = setup.run(reuse_interval=r)
+def cmd_sweep_reuse(setup: _Setup, out: Path) -> int:
+    reports = {r: setup.edit(reuse_interval=r) for r in dict.fromkeys((1, *setup.cfg.sweep_r))}
     baseline = reports[1].output
 
     header = "r nfe reuse_gap" + (" identity_error" if setup.identity_run else "")
     lines = [header]
-    for r in cfg.sweep_r:
+    for r in setup.cfg.sweep_r:
         row = f"{r} {reports[r].nfe} {rms_gap(reports[r].output, baseline):.9g}"
         if setup.identity_run:
             row += f" {rel_error(reports[r].output, setup.z0):.9g}"
@@ -200,7 +198,8 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         cfg = cfgmod.load_config(args.config, overrides)
-        code = _COMMANDS[args.command](cfg, _out_dir(cfg))
+        out = _out_dir(cfg)
+        code = _COMMANDS[args.command](_Setup(cfg), out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -99,6 +99,10 @@ def _parse_list(parse_item: Callable[[str, str], Any], kind: str) -> Callable[[s
 
 # a uniform schedule allocates steps + 1 knots, and a run stores one norm per step
 MAX_STEPS = 1_000_000
+# the scene sums one full-frame Gaussian per blob in every frame it renders
+MAX_BLOBS = 1_000
+# float64 values in one stack, or in a scene mixture's stacked components: 2**25 are 256 MiB
+MAX_VALUES = 2**25
 
 
 def _parse_steps(key: str, value: str) -> int:
@@ -216,6 +220,13 @@ def build_experiment_config(
             value = spec.metadata["parse"](key, known[key])
             _check_range(spec.metadata["ok"](value), key, spec.metadata["requirement"])
             setattr(cfg, spec.name, value)
+    for key, params in (("src.agnostic", cfg.src_agnostic), ("tar.agnostic", cfg.tar_agnostic)):
+        _check_range(params[1] <= MAX_BLOBS, key, f"blob count must be <= {MAX_BLOBS}")
+    values = cfg.frames * cfg.channels * cfg.height * cfg.width
+    _check_range(values <= MAX_VALUES, "frames*channels*height*width", f"must be <= {MAX_VALUES}")
+    if cfg.field == "mixture" and not components:
+        most = MAX_VALUES // values
+        _check_range(cfg.mixture_components <= most, "mixture.components", f"must be <= {most} at this size")
 
     if components:
         _check_range(cfg.field == "mixture", "component.*", "only valid with field = mixture")

@@ -103,7 +103,10 @@ class ToyScene:
         return np.full((self.shape.height, self.shape.width), level)
 
     def true_mask(self, agnostic_params: tuple[float, ...]) -> Mask:
-        pattern = self.structure(agnostic_params)[:, :1, :, :]
+        return self._footprint(self.structure(agnostic_params))
+
+    def _footprint(self, pattern: np.ndarray) -> Mask:
+        pattern = pattern[:, :1, :, :]
         cut = self.mask_threshold * float(pattern.max())
         return Mask((pattern > cut).astype(np.float64))
 
@@ -111,7 +114,7 @@ class ToyScene:
 def render_target(scene: ToyScene, c: ConditionBundle) -> LatentField:
     """Deterministic ground-truth render of the scene under a bundle."""
     pattern = scene.structure(c.agnostic_params)
-    mask = scene.true_mask(c.agnostic_params).data
+    mask = scene._footprint(pattern).data
     if c.structural is not None:
         if c.structural.data.shape != pattern.shape:
             raise ShapeMismatchError(

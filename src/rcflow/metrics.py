@@ -9,8 +9,6 @@ scenes; not calibrated against any perceptual metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .latent import LatentField, Mask
@@ -57,31 +55,14 @@ def rms_gap(a: LatentField, b: LatentField) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-@dataclass
-class MetricsReport:
-    """Machine-readable run summary, serialized one key=value per line."""
+def key_values(**values: float | None) -> str:
+    """Machine-readable run summary: one key=value line per value, in the order given.
 
-    nfe: int
-    identity_error: float | None = None
-    fg_structure_score: float | None = None
-    bg_change_rms: float | None = None
-    export_channel: int | None = None
-    export_min: float | None = None
-    export_max: float | None = None
-
-    def to_lines(self) -> list[str]:
-        lines = [f"nfe={self.nfe}"]
-        for key in ("identity_error", "fg_structure_score", "bg_change_rms"):
-            value = getattr(self, key)
-            if value is not None:
-                lines.append(f"{key}={value:.9g}")
-        if self.export_channel is not None:
-            lines.append(f"export_channel={self.export_channel}")
-        for key in ("export_min", "export_max"):
-            value = getattr(self, key)
-            if value is not None:
-                lines.append(f"{key}={value:.9g}")
-        return lines
-
-    def to_text(self) -> str:
-        return "\n".join(self.to_lines()) + "\n"
+    Integers are written as they are, other numbers to 9 significant digits;
+    a None value is left out.
+    """
+    return "".join(
+        f"{key}={value}\n" if isinstance(value, int) else f"{key}={value:.9g}\n"
+        for key, value in values.items()
+        if value is not None
+    )

@@ -33,7 +33,7 @@ def oracle_posterior_mean(z: LatentField, t: float, data: MixtureDataset) -> Lat
 
 
 def parse_metrics(text: str) -> dict[str, float]:
-    """Inverse of MetricsReport.to_text; every value parses as float."""
+    """Inverse of metrics.key_values; every value parses as float."""
     out: dict[str, float] = {}
     for line in text.splitlines():
         line = line.strip()

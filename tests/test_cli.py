@@ -82,6 +82,22 @@ class TestCommands:
         metrics = parse_metrics((tmp_path / "thin" / "metrics.txt").read_text())
         assert np.isfinite(metrics["fg_structure_score"])
 
+    def test_metrics_key_sequence(self, tmp_path):
+        # an identity edit (src = tar) writes every key metrics.txt can hold
+        identity = BASE_CONFIG.replace("tar.illum = 2.0, 0.3, 0.8, 0.6", "tar.illum = 1.0, 0.0, 0.0, 0.2")
+        config = write_config(tmp_path, identity)
+        assert run("edit", config, tmp_path / "e") == 0
+        assert run("generate", config, tmp_path / "g") == 0
+        edit_lines = (tmp_path / "e" / "metrics.txt").read_text().splitlines()
+        generate_lines = (tmp_path / "g" / "metrics.txt").read_text().splitlines()
+        export = ["export_channel", "export_min", "export_max"]
+        edit_keys = [line.partition("=")[0] for line in edit_lines]
+        assert edit_keys == ["nfe", "identity_error", "fg_structure_score", "bg_change_rms", *export]
+        assert [line.partition("=")[0] for line in generate_lines] == ["nfe", *export]
+        # integers are written as they are
+        assert [edit_lines[0], edit_lines[4]] == ["nfe=55", "export_channel=0"]
+        assert generate_lines[:2] == ["nfe=50", "export_channel=0"]
+
     def test_flowedit_fresh_nfe(self, tmp_path):
         text = BASE_CONFIG + "fe_noise = fresh\nfe_navg = 2\n"
         config = write_config(tmp_path, text)
@@ -289,6 +305,42 @@ class TestCliContract:
         assert run("edit", config, tmp_path / "rep", "--r", "5") == 0
         metrics = parse_metrics((tmp_path / "rep" / "metrics.txt").read_text())
         assert metrics["nfe"] == 24
+
+    @pytest.mark.parametrize(
+        "command,lines,code,key",
+        [
+            ("generate", "input = missing.fps\n", 0, None),
+            ("flowedit", "mask = missing.fps\n", 0, None),
+            ("equivalence", "mask = missing.fps\n", 0, None),
+            ("edit", "mask = missing.fps\n", 2, "mask"),
+            ("sweep-reuse", "mask = missing.fps\n", 2, "mask"),
+            ("edit", "mask = missing.fps\ninput = missing.fps\n", 2, "mask"),
+        ],
+    )
+    def test_command_reads_only_what_it_needs(self, tmp_path, capsys, command, lines, code, key):
+        # generate never reads the input stack; flowedit and equivalence never read the mask
+        text = BASE_CONFIG.replace("steps = 50", "steps = 10").replace("mask = scene\n", "")
+        config = write_config(tmp_path, text + lines)
+        assert run(command, config, tmp_path / "o") == code
+        if key is not None:
+            assert capsys.readouterr().err.startswith(f"config error: key '{key}': cannot read missing.fps")
+
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [
+            ("src.agnostic = 5, 3, 0.5", "src.agnostic = 5, 1e12, 0.5", "src.agnostic"),
+            ("tar.agnostic = 5, 3, 0.5", "tar.agnostic = 5, 1e12, 0.5", "tar.agnostic"),
+            ("height = 16\nwidth = 16", "height = 1000000\nwidth = 1000000", "frames*channels*height*width"),
+            ("field = mixture", "field = mixture\nmixture.components = 100000000", "mixture.components"),
+        ],
+    )
+    def test_oversized_value_is_rejected_before_allocating(self, tmp_path, capsys, old, new, key):
+        # each would ask for terabytes, or loop for hours, were it not checked at load
+        config = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+        assert run("generate", config, tmp_path / "big") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: key '{key}': ") and "must be <= " in err
+        assert not (tmp_path / "big").exists()
 
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch):
         from rcflow import cli

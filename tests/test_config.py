@@ -177,6 +177,15 @@ KEY_MESSAGES = [
     ("field = banana\nbogus = 1", "unknown key 'bogus'"),
     ("steps = 1000001", "key 'steps': must be <= 1000000"),
     ("steps = 4611686018427387904", "key 'steps': must be <= 1000000"),
+    # bounds on what a run would allocate or loop over, checked before any of it
+    ("src.agnostic = 5, 1e12, 0.5", "key 'src.agnostic': blob count must be <= 1000"),
+    ("tar.agnostic = 5, 1001, 0.5", "key 'tar.agnostic': blob count must be <= 1000"),
+    ("height = 1000000\nwidth = 1000000", "key 'frames*channels*height*width': must be <= 33554432"),
+    ("frames = 3\nheight = 4096\nwidth = 4096", "key 'frames*channels*height*width': must be <= 33554432"),
+    ("field = mixture\nmixture.components = 100000000",
+     "key 'mixture.components': must be <= 65536 at this size"),
+    ("field = mixture\nchannels = 4\nmixture.components = 16385",
+     "key 'mixture.components': must be <= 16384 at this size"),
 ]
 
 
@@ -203,6 +212,15 @@ def test_unallocatable_steps_is_config_error():
     with pytest.raises(ConfigError) as info:
         make_cfg("steps = 4611686018427387904")
     assert str(info.value).startswith("key 'steps': ")
+
+
+def test_bounds_admit_their_limits():
+    # a config is checked, not materialized, so the largest admitted values load at once
+    make_cfg("src.agnostic = 5, 1000, 0.5\ntar.agnostic = 5, -1e12, 0.5")
+    make_cfg("frames = 2\nheight = 4096\nwidth = 4096")
+    make_cfg("field = mixture\nmixture.components = 65536")
+    # explicit components are listed in the file, so mixture.components does not apply
+    make_cfg("field = mixture\nmixture.components = 65537\ncomponent.0.weight = 1\ncomponent.0.value = 0")
 
 
 def test_knots_count_is_bounded():

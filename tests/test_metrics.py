@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 
 from rcflow.latent import LatentField, Mask, Shape
 from rcflow.metrics import (
-    MetricsReport,
     bg_change_rms,
     fg_structure_score,
+    key_values,
     rms_gap,
 )
 
@@ -91,7 +91,7 @@ def test_rms_gap():
 
 
 def test_report_round_trip():
-    report = MetricsReport(
+    text = key_values(
         nfe=55,
         identity_error=1.5e-7,
         fg_structure_score=0.95,
@@ -100,7 +100,7 @@ def test_report_round_trip():
         export_min=-1.0,
         export_max=2.0,
     )
-    parsed = parse_metrics(report.to_text())
+    parsed = parse_metrics(text)
     assert parsed["nfe"] == 55
     assert parsed["identity_error"] == pytest.approx(1.5e-7)
     assert parsed["fg_structure_score"] == pytest.approx(0.95)
@@ -108,7 +108,7 @@ def test_report_round_trip():
 
 
 def test_report_omits_absent_metrics():
-    text = MetricsReport(nfe=50).to_text()
+    text = key_values(nfe=50, identity_error=None, fg_structure_score=None)
     assert text == "nfe=50\n"
 
 
