@@ -22,12 +22,12 @@ from functools import cached_property
 from pathlib import Path
 
 from . import config as cfgmod
-from .edit import run_edit
+from .edit import EditConfig, run_edit
 from .engine import generate, sample_noise
 from .errors import ConfigError, NumericError
 # not called here; perfbench/tracing.py rebinds the name in this module, as in config and fields
 from .fields import render_target  # noqa: F401
-from .flowedit import equivalence_check, flowedit_run
+from .flowedit import FlowEditConfig, NoiseMode, equivalence_check, flowedit_run
 from .latent import rel_error
 from .metrics import bg_change_rms, fg_structure_score, key_values, rms_gap
 from .stackio import export_frames, write_stack, write_text
@@ -90,6 +90,7 @@ class _Setup:
 
     def __init__(self, cfg: cfgmod.ExperimentConfig):
         self.cfg = cfg
+        self.schedule = cfgmod.build_schedule(cfg)
         self.scene = cfgmod.build_scene(cfg)
         self.src, self.tar = cfgmod.build_bundles(cfg)
         self.velocity = cfgmod.build_field(cfg, self.scene)
@@ -108,12 +109,14 @@ class _Setup:
         return sample_noise(self.cfg.seed, cfgmod.build_shape(self.cfg))
 
     def edit(self, reuse_interval: int | None = None):
-        edit_cfg = cfgmod.build_edit_config(self.cfg, self.mask, reuse_interval=reuse_interval)
+        cfg = self.cfg
+        r = cfg.reuse_interval if reuse_interval is None else reuse_interval
+        edit_cfg = EditConfig(self.schedule, self.mask, r, cfg.hf_lambda, cfg.hf_rho)
         return run_edit(self.velocity, self.z0, self.src, self.tar, self.eps, edit_cfg)
 
 
 def cmd_generate(setup: _Setup, out: Path) -> int:
-    output, nfe = generate(setup.velocity, setup.tar, setup.eps, cfgmod.build_schedule(setup.cfg))
+    output, nfe = generate(setup.velocity, setup.tar, setup.eps, setup.schedule)
     _write_run_outputs(out, "generate", output, nfe)
     return EXIT_OK
 
@@ -146,9 +149,9 @@ def cmd_edit(setup: _Setup, out: Path) -> int:
 
 
 def cmd_flowedit(setup: _Setup, out: Path) -> int:
-    output, nfe = flowedit_run(
-        setup.velocity, setup.z0, setup.src, setup.tar, cfgmod.build_flowedit_config(setup.cfg)
-    )
+    cfg = setup.cfg
+    fe_cfg = FlowEditConfig(setup.schedule, NoiseMode(cfg.fe_noise), cfg.fe_navg, cfg.seed)
+    output, nfe = flowedit_run(setup.velocity, setup.z0, setup.src, setup.tar, fe_cfg)
     _write_run_outputs(out, "flowedit", output, nfe)
     return EXIT_OK
 
@@ -156,7 +159,7 @@ def cmd_flowedit(setup: _Setup, out: Path) -> int:
 def cmd_equivalence(setup: _Setup, out: Path) -> int:
     cfg = setup.cfg
     report = equivalence_check(
-        setup.velocity, setup.z0, setup.src, setup.tar, cfgmod.build_schedule(cfg), cfg.seed, cfg.equiv_tol
+        setup.velocity, setup.z0, setup.src, setup.tar, setup.schedule, cfg.seed, cfg.equiv_tol
     )
     write_text(out / "equivalence.txt", "\n".join(report.to_lines()) + "\n")
     print(

@@ -5,7 +5,8 @@ ignored. Mixture components use indexed keys (component.0.weight,
 component.0.file or component.0.value). Any unknown key, duplicate key, or
 out-of-range value aborts before computation with a message naming the
 key. Every knob defaults to the standard experiment (T=50, r=10,
-lambda=0.5, rho=0.8, point field on the built-in scene).
+lambda=0.5, rho=0.8, point field on the built-in scene); on a schedule of
+fewer than 10 steps, unset r and sweep_r shrink to fit it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import Field, dataclass, field as dc_field, fields
 from pathlib import Path
 from typing import Any
 
-from .edit import EditConfig
 from .engine import ConditionBundle, Schedule, VelocityField, make_uniform_schedule
 from .errors import ConfigError, NumericError
 from .fields import (
@@ -31,7 +31,6 @@ from .fields import (
     render_target,
     scene_mixture_field,
 )
-from .flowedit import FlowEditConfig, NoiseMode
 from .latent import LatentField, Mask, Shape, downsample_mask
 from .stackio import read_mask, read_stack
 
@@ -72,15 +71,6 @@ def _parse_float(key: str, value: str) -> float:
     if not math.isfinite(parsed):
         raise ConfigError(f"key '{key}': value must be finite")
     return parsed
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1"):
-        return True
-    if lowered in ("false", "0"):
-        return False
-    raise ConfigError(f"key '{key}': expected true/false, got {value!r}")
 
 
 def _parse_text(key: str, value: str) -> str:
@@ -156,7 +146,6 @@ class ExperimentConfig:
     reuse_interval: int = _key(10, _parse_int, *_AT_LEAST_1)
     hf_lambda: float = _key(0.5, _parse_float, *_UNIT)
     hf_rho: float = _key(0.8, _parse_float, *_UNIT)
-    hf_enabled: bool = _key(True, _parse_bool, *_ANY)
     mask: str = _key("scene", _parse_text, bool, "must not be empty")
     field: str = _key(
         "point",
@@ -256,15 +245,16 @@ def build_experiment_config(
             )
         cfg.explicit_components = tuple(specs)
 
-    # cross-field checks that need the assembled schedule
-    schedule = build_schedule(cfg)
-    _check_range(
-        cfg.reuse_interval <= schedule.steps,
-        "reuse_interval",
-        f"must not exceed the {schedule.steps} schedule steps",
-    )
+    # cross-field checks that need the assembled schedule; a default left
+    # unset shrinks to fit a short schedule, a set value is checked as given
+    steps = build_schedule(cfg).steps
+    if "reuse_interval" not in known:
+        cfg.reuse_interval = min(cfg.reuse_interval, steps)
+    if "sweep_r" not in known:
+        cfg.sweep_r = tuple(r for r in cfg.sweep_r if r <= steps)
+    _check_range(cfg.reuse_interval <= steps, "reuse_interval", f"must not exceed the {steps} schedule steps")
     for r in cfg.sweep_r:
-        _check_range(1 <= r <= schedule.steps, "sweep_r", f"value {r} outside [1, {schedule.steps}]")
+        _check_range(1 <= r <= steps, "sweep_r", f"value {r} outside [1, {steps}]")
     if cfg.fe_noise == "fixed":
         _check_range(cfg.fe_navg == 1, "fe_navg", "fixed noise mode requires 1")
     return cfg
@@ -393,21 +383,3 @@ def build_input(cfg: ExperimentConfig, scene: ToyScene, src: ConditionBundle) ->
     if cfg.input is None:
         return render_target(scene, src)
     return _load_stack(cfg, "input", cfg.input, read_stack, build_shape(cfg))
-
-
-def build_edit_config(cfg: ExperimentConfig, mask: Mask, *, reuse_interval: int | None = None) -> EditConfig:
-    return EditConfig(
-        schedule=build_schedule(cfg),
-        mask=mask,
-        reuse_interval=cfg.reuse_interval if reuse_interval is None else reuse_interval,
-        hf_lambda=cfg.hf_lambda,
-        hf_rho=cfg.hf_rho,
-        hf_enabled=cfg.hf_enabled,
-    )
-
-
-def build_flowedit_config(cfg: ExperimentConfig) -> FlowEditConfig:
-    mode = NoiseMode.FIXED if cfg.fe_noise == "fixed" else NoiseMode.FRESH_PER_STEP
-    return FlowEditConfig(
-        schedule=build_schedule(cfg), noise_mode=mode, n_avg=cfg.fe_navg, seed=cfg.seed
-    )

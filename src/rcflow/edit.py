@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from .engine import (
     ConditionBundle,
     Schedule,
@@ -28,7 +26,7 @@ from .engine import (
     euler_step,
 )
 from .errors import NumericError, ShapeMismatchError
-from .latent import LatentField, Mask, hf_transfer, lerp_noise
+from .latent import LatentField, Mask, hf_transfer, lerp_noise, rms
 
 
 @dataclass(frozen=True)
@@ -37,8 +35,8 @@ class EditConfig:
 
     reuse_interval r keeps each cached residual alive for r steps; must not
     exceed the schedule's step count. hf_lambda / hf_rho drive the
-    high-frequency transfer applied after every Euler update when
-    hf_enabled. The mask confines both the residual correction and the
+    high-frequency transfer applied after every Euler update; hf_lambda = 0
+    skips it. The mask confines both the residual correction and the
     detail transfer; all-ones edits the whole scene, all-zeros degenerates
     to free generation.
     """
@@ -48,7 +46,6 @@ class EditConfig:
     reuse_interval: int = 10
     hf_lambda: float = 0.5
     hf_rho: float = 0.8
-    hf_enabled: bool = True
 
     def __post_init__(self):
         if not 1 <= self.reuse_interval <= self.schedule.steps:
@@ -67,7 +64,6 @@ class EditReport:
 
     output: LatentField
     nfe: int
-    residual_recomputations: int
     per_step_residual_norm: list[float] = dc_field(default_factory=list)
 
 
@@ -95,10 +91,6 @@ def consistency_residual(
         raise NumericError(f"residual became non-finite at t={t}") from exc
 
 
-def _rms(data: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(data * data)))
-
-
 def run_edit(
     field: VelocityField,
     z0: LatentField,
@@ -113,8 +105,8 @@ def run_edit(
     One fixed noise eps serves the entire run. Walking the schedule from
     t=1 to t=0, the step at knot i refreshes the cached residual whenever
     (N - i) mod r == 0 and reuses the cached vector otherwise, then Euler
-    steps along v_tar + mask * residual and, if enabled, re-injects the
-    source path's high-frequency detail inside the mask.
+    steps along v_tar + mask * residual and, when hf_lambda > 0, re-injects
+    the source path's high-frequency detail inside the mask.
 
     Total evaluations: N target calls plus ceil(N/r) residual refreshes.
     on_step, when given, sees the edit latent at t=1 and after every step.
@@ -143,7 +135,7 @@ def run_edit(
         t_hi, t_lo = knots[i], knots[i - 1]
         if (steps - i) % r == 0:
             residual = consistency_residual(field, z0, eps, t_hi, c_src)
-            residual_norm = _rms(residual.data)
+            residual_norm = rms(residual.data)
             recomputations += 1
         assert residual is not None
         residual_norms.append(residual_norm)
@@ -154,7 +146,7 @@ def run_edit(
             z_edit = euler_step(z_edit, t_hi, t_lo, v_edit)
             # released before detail transfer, where a step's memory peaks
             del v_tar, v_edit
-            if config.hf_enabled:
+            if config.hf_lambda > 0:
                 z_edit = hf_transfer(
                     z_edit, lerp_noise(z0, eps, t_lo), mask, config.hf_lambda, config.hf_rho
                 )
@@ -164,9 +156,4 @@ def run_edit(
             on_step(float(t_lo), z_edit)
 
     assert recomputations == math.ceil(steps / r)
-    return EditReport(
-        output=z_edit,
-        nfe=steps + recomputations,
-        residual_recomputations=recomputations,
-        per_step_residual_norm=residual_norms,
-    )
+    return EditReport(output=z_edit, nfe=steps + recomputations, per_step_residual_norm=residual_norms)

@@ -160,7 +160,6 @@ def equivalence_check(
         mask=Mask.ones(z0.shape),
         reuse_interval=1,
         hf_lambda=0.0,
-        hf_enabled=False,
     )
     edit_latents: list[LatentField] = []
     report = run_edit(

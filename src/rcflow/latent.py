@@ -283,3 +283,18 @@ def rel_error(a: LatentField, b: LatentField) -> float:
     """max|a - b| scaled by 1 + max|b|; the package-wide relative deviation."""
     _require_same_shape(a, b, "rel_error")
     return float(np.max(np.abs(a.data - b.data))) / (1.0 + b.max_abs())
+
+
+def rms(data: np.ndarray) -> float:
+    """sqrt(mean(data**2)), finite for any finite data.
+
+    Where the squares overflow, the values are first scaled by max|data|.
+    """
+    with np.errstate(over="ignore"):
+        value = float(np.sqrt(np.mean(data * data)))
+    if value == np.inf:
+        peak = float(np.max(np.abs(data)))
+        if peak < np.inf:
+            scaled = data / peak
+            value = peak * float(np.sqrt(np.mean(scaled * scaled)))
+    return value

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .latent import LatentField, Mask
+from .latent import LatentField, Mask, rms
 
 
 def _gradient_magnitude(data: np.ndarray) -> np.ndarray:
@@ -45,14 +45,11 @@ def bg_change_rms(output: LatentField, source: LatentField, mask: Mask) -> float
     """RMS of output - source outside the mask; 0 when nothing is outside."""
     outside = np.broadcast_to(mask.data <= 0.5, output.data.shape)
     diff = (output.data - source.data)[outside]
-    if diff.size == 0:
-        return 0.0
-    return float(np.sqrt(np.mean(diff * diff)))
+    return rms(diff) if diff.size else 0.0
 
 
 def rms_gap(a: LatentField, b: LatentField) -> float:
-    diff = a.data - b.data
-    return float(np.sqrt(np.mean(diff * diff)))
+    return rms(a.data - b.data)
 
 
 def key_values(**values: float | None) -> str:

@@ -5,7 +5,7 @@ import pytest
 
 from rcflow import config as cfgmod
 from rcflow.cli import main
-from rcflow.edit import run_edit
+from rcflow.edit import EditConfig, run_edit
 from rcflow.engine import sample_noise
 from rcflow.latent import Shape
 from rcflow.metrics import bg_change_rms, fg_structure_score
@@ -129,6 +129,48 @@ class TestCommands:
         assert [int(row[1]) for row in rows] == [100, 75, 60, 55]
         assert float(rows[0][2]) == 0.0
 
+    def test_unset_defaults_fit_a_short_schedule(self, tmp_path):
+        # 5 steps are fewer than the default reuse interval 10 and the sweep's r = 10
+        config = write_config(tmp_path, "steps = 5\n")
+        assert run("generate", config, tmp_path / "g") == 0
+        assert run("sweep-reuse", config, tmp_path / "s") == 0
+        rows = (tmp_path / "s" / "sweep.txt").read_text().splitlines()[1:]
+        assert [row.split()[:2] for row in rows] == [["1", "10"], ["2", "8"], ["5", "6"]]
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("reuse_interval = 10", "key 'reuse_interval': must not exceed the 5 schedule steps"),
+            ("sweep_r = 1, 10", "key 'sweep_r': value 10 outside [1, 5]"),
+        ],
+    )
+    def test_set_value_is_checked_against_a_short_schedule(self, tmp_path, capsys, line, message):
+        config = write_config(tmp_path, f"steps = 5\n{line}\n")
+        assert run("generate", config, tmp_path / "g") == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    # fg_structure_score's own numpy calls still overflow on this stack; any
+    # warning raised in rcflow's code fails the test
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning:numpy")
+    def test_huge_finite_values_give_finite_rms(self, tmp_path):
+        text = "field = constant\nconstant_value = 1e200\nhf_lambda = 0\nsteps = 5\n"
+        config = write_config(tmp_path, text)
+        assert run("edit", config, tmp_path / "h") == 0
+        metrics = parse_metrics((tmp_path / "h" / "metrics.txt").read_text())
+
+        cfg = cfgmod.load_config(config)
+        scene = cfgmod.build_scene(cfg)
+        src, tar = cfgmod.build_bundles(cfg)
+        mask = cfgmod.build_mask(cfg, scene, src)
+        z0 = cfgmod.build_input(cfg, scene, src)
+        eps = sample_noise(cfg.seed, cfgmod.build_shape(cfg))
+        edit_cfg = EditConfig(cfgmod.build_schedule(cfg), mask, cfg.reuse_interval, 0.0)
+        report = run_edit(cfgmod.build_field(cfg, scene), z0, src, tar, eps, edit_cfg)
+        outside = np.broadcast_to(mask.data <= 0.5, z0.data.shape)
+        scaled = (report.output.data - z0.data)[outside] / 1e200
+        assert metrics["bg_change_rms"] == pytest.approx(1e200 * np.sqrt(np.mean(scaled * scaled)), rel=1e-8)
+        assert all(np.isfinite(report.per_step_residual_norm))
+
     def test_sweep_r_equals_steps(self, tmp_path):
         text = BASE_CONFIG.replace("steps = 50", "steps = 10") + "sweep_r = 1,10\n"
         text = text.replace("reuse_interval = 10", "reuse_interval = 1")
@@ -211,9 +253,8 @@ class TestCliContract:
         mask = cfgmod.build_mask(cfg, scene, src)
         edited = read_stack(tmp_path / "input.fps")
         eps = sample_noise(cfg.seed, cfgmod.build_shape(cfg))
-        output = run_edit(
-            cfgmod.build_field(cfg, scene), edited, src, tar, eps, cfgmod.build_edit_config(cfg, mask)
-        ).output
+        edit_cfg = EditConfig(cfgmod.build_schedule(cfg), mask, cfg.reuse_interval, cfg.hf_lambda, cfg.hf_rho)
+        output = run_edit(cfgmod.build_field(cfg, scene), edited, src, tar, eps, edit_cfg).output
         assert metrics["bg_change_rms"] == float(f"{bg_change_rms(output, edited, mask):.9g}")
         assert metrics["fg_structure_score"] == float(f"{fg_structure_score(output, edited, mask):.9g}")
 

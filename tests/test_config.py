@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcflow.cli import main
 from rcflow.config import (
     _KEYS,
     MAX_STEPS,
@@ -52,6 +53,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown key 'sede'"):
             make_cfg("sede = 1")
 
+    def test_hf_enabled_is_unknown(self, tmp_path, capsys):
+        # hf_lambda = 0 is the one way to turn detail transfer off
+        config = tmp_path / "exp.cfg"
+        config.write_text("hf_enabled = true\n")
+        assert main(["edit", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "config error: unknown key 'hf_enabled'\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "line,fragment",
         [
@@ -68,7 +77,6 @@ class TestValidation:
             ("tar.agnostic = 1", "tar.agnostic"),
             ("sweep_r = 0,5", "sweep_r"),
             ("knots = 0,2", "knots"),
-            ("hf_enabled = maybe", "hf_enabled"),
             ("seed = -3", "seed"),
         ],
     )
@@ -89,6 +97,14 @@ class TestValidation:
         assert cfg.hf_lambda == 0.5
         assert cfg.hf_rho == 0.8
         assert cfg.mask == "scene"
+
+    def test_unset_defaults_fit_a_short_schedule(self):
+        cfg = make_cfg("steps = 5")
+        assert (cfg.reuse_interval, cfg.sweep_r) == (5, (1, 2, 5))
+        cfg = make_cfg("knots = 0, 0.5, 1")
+        assert (cfg.reuse_interval, cfg.sweep_r) == (2, (1, 2))
+        cfg = make_cfg("steps = 5\nreuse_interval = 3\nsweep_r = 3")
+        assert (cfg.reuse_interval, cfg.sweep_r) == (3, (3,))
 
     def test_component_keys_require_mixture(self):
         with pytest.raises(ConfigError, match="component"):
@@ -134,7 +150,6 @@ KEY_MESSAGES = [
     ("hf_lambda = 1.5", "key 'hf_lambda': must lie in [0, 1]"),
     ("hf_rho = nan", "key 'hf_rho': value must be finite"),
     ("hf_rho = -0.1", "key 'hf_rho': must lie in [0, 1]"),
-    ("hf_enabled = maybe", "key 'hf_enabled': expected true/false, got 'maybe'"),
     ("mask =", "key 'mask': must not be empty"),
     ("field = banana", "key 'field': must be one of constant|point|mixture"),
     ("constant_value = x", "key 'constant_value': expected a number, got 'x'"),

@@ -15,6 +15,7 @@ from rcflow.latent import (
     hf_transfer,
     lerp_noise,
     rel_error,
+    rms,
 )
 from rcflow.rng import standard_normal
 
@@ -291,3 +292,15 @@ def test_rel_error_scale():
     a = field_from([2.0], (1, 1, 1, 1))
     b = field_from([1.0], (1, 1, 1, 1))
     assert rel_error(a, b) == pytest.approx(0.5)
+
+
+@settings(deadline=None, max_examples=100)
+@given(hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(-1e150, 1e150)))
+def test_rms_matches_the_plain_formula_where_squares_fit(data):
+    assert rms(data) == float(np.sqrt(np.mean(data * data)))
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e308])
+def test_rms_stays_finite_where_squares_overflow(scale):
+    data = np.array([scale, -scale, 0.5 * scale, 0.0])
+    assert rms(data) == pytest.approx(0.75 * scale)
