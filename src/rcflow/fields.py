@@ -141,12 +141,16 @@ class MixtureDataset:
 
     `points` (components x frames x channels x height x width) and `weights`
     are stacked once, read-only; each component's field is a view into
-    `points`, so the points are held once.
+    `points`, so the points are held once. `center` (the mean point,
+    flattened) and `centered_sq_norms` (each ||p_k - center||^2) are computed
+    once, one component at a time, for the posterior mean's distances.
     """
 
     components: tuple[tuple[float, LatentField], ...]
     points: np.ndarray = dc_field(init=False, repr=False, compare=False)
     weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    center: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    centered_sq_norms: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.components:
@@ -162,12 +166,22 @@ class MixtureDataset:
             raise ValueError("mixture weights must not all be zero")
         normalized = np.array([float(w) / total for w, _ in self.components])
         points = np.stack([point.data for _, point in self.components])
-        normalized.flags.writeable = False
-        points.flags.writeable = False
+        flat = points.reshape(len(points), -1)
+        norms = np.empty(len(flat))
+        # an overflowing center or norm is inf; the posterior mean then takes the direct distances
+        with np.errstate(over="ignore", invalid="ignore"):
+            center = flat.mean(axis=0)
+            for k, row in enumerate(flat):
+                centered = row - center
+                norms[k] = centered @ centered
+        for array in (normalized, points, center, norms):
+            array.flags.writeable = False
         components = tuple((float(w), LatentField(p)) for w, p in zip(normalized, points))
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", normalized)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "centered_sq_norms", norms)
 
 
 class _ConstantField(VelocityField):
@@ -226,25 +240,44 @@ def point_field(scene: ToyScene) -> VelocityField:
     return _PointField(scene)
 
 
-def _posterior_mean_stable(z: np.ndarray, t: float, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _sq_distances(flat: np.ndarray, s: float, z: np.ndarray) -> np.ndarray:
+    """||s * p_k - z||^2 for every row p_k of `flat`, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        diff = flat * s - z
+        return np.sum(diff * diff, axis=1)
+
+
+def _posterior_mean_stable(z: np.ndarray, t: float, data: MixtureDataset) -> np.ndarray:
     """Mixture posterior mean with max-shifted exponents.
 
-    Falls back to the nearest component (lowest index on ties) if every
-    shifted weight still vanishes.
+    With s = 1 - t, m = data.center and y = z - s*m, the squared distance
+    ||s*p_k - z||^2 equals s^2 ||p_k - m||^2 - 2s <p_k, y> plus a term that
+    is the same for every k, which the max shift cancels: one
+    matrix-vector product gives every distance. Where any of these, or
+    ||y||^2, is not finite, the call takes the direct distances instead.
+
+    Falls back to the nearest component by direct distance (lowest index on
+    ties) if every shifted weight still vanishes.
     """
-    flat = points.reshape(points.shape[0], -1)
-    diff = flat * (1.0 - t) - z.reshape(-1)
-    d2 = np.sum(diff * diff, axis=1)
-    with np.errstate(divide="ignore"):
-        exponents = np.log(weights) - d2 / (2.0 * t * t)
+    flat = data.points.reshape(len(data.points), -1)
+    s = 1.0 - t
+    z = z.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = z - s * data.center
+        d2 = s * s * data.centered_sq_norms - 2.0 * s * (flat @ y)
+        # the dropped common term holds ||y||^2; where it overflows, the distances
+        # are out of float range, and the direct ones (inf) decide as they always have
+        finite = np.isfinite(y @ y) and np.all(np.isfinite(d2))
+    if not finite:
+        d2 = _sq_distances(flat, s, z)
+    # a zero weight beside an overflowing negative distance gives nan, caught by the peak
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        exponents = np.log(data.weights) - d2 / (2.0 * t * t)
     peak = float(np.max(exponents))
     if not np.isfinite(peak):
-        return points[int(np.argmin(d2))]
+        return data.points[int(np.argmin(_sq_distances(flat, s, z)))]
     shifted = np.exp(exponents - peak)
-    total = float(shifted.sum())
-    if total <= 0.0 or not np.isfinite(total):
-        return points[int(np.argmin(d2))]
-    return np.tensordot(shifted / total, points, axes=(0, 0))
+    return np.tensordot(shifted / shifted.sum(), data.points, axes=(0, 0))
 
 
 def _smooth_perturbations(shape: Shape, count: int, seed: int) -> list[np.ndarray]:
@@ -272,7 +305,7 @@ class _MixtureField(VelocityField):
             raise ShapeMismatchError(
                 f"mixture components are {data.points.shape[1:]}, latent is {z.data.shape}"
             )
-        mean = _posterior_mean_stable(z.data, t, data.points, data.weights)
+        mean = _posterior_mean_stable(z.data, t, data)
         return LatentField((mean - z.data) / t)
 
 

@@ -9,6 +9,8 @@ scenes; not calibrated against any perceptual metric.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .latent import LatentField, Mask, rms
@@ -34,11 +36,23 @@ def fg_structure_score(output: LatentField, source: LatentField, mask: Mask) -> 
     side) score 0.
     """
     inside = np.broadcast_to(mask.data > 0.5, output.data.shape)
-    a = _gradient_magnitude(output.data)[inside]
-    b = _gradient_magnitude(source.data)[inside]
+    a = _overflow_safe(_gradient_magnitude(output.data)[inside])
+    b = _overflow_safe(_gradient_magnitude(source.data)[inside])
     if a.size < 2 or float(a.std()) == 0.0 or float(b.std()) == 0.0:
         return 0.0
     return float(np.corrcoef(a, b)[0, 1])
+
+
+def _overflow_safe(magnitudes: np.ndarray) -> np.ndarray:
+    """The magnitudes, divided by their max where a sum of their squares could overflow.
+
+    A correlation does not change when one side is scaled, and a sum of n
+    squares of values at most `peak` stays below n * peak**2.
+    """
+    peak = float(magnitudes.max(initial=0.0))
+    if not math.isfinite(peak) or magnitudes.size * peak * peak < np.finfo(np.float64).max:
+        return magnitudes
+    return magnitudes / peak
 
 
 def bg_change_rms(output: LatentField, source: LatentField, mask: Mask) -> float:

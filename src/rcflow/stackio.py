@@ -8,6 +8,7 @@ trips within 1e-6 relative, which is all the desk-scale experiments need.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -136,7 +137,12 @@ def write_pgm(path: str | os.PathLike, frame: np.ndarray, lo: float, hi: float) 
     if frame.ndim != 2:
         raise ValueError(f"frame must be 2D, got {frame.ndim} axes")
     if hi > lo:
-        scaled = np.clip((frame - lo) / (hi - lo), 0.0, 1.0)
+        if float(hi) - float(lo) < math.inf:
+            scaled = (frame - lo) / (hi - lo)
+        else:
+            # the range overflows; halving is exact, and the halved range does not
+            scaled = (frame / 2.0 - lo / 2.0) / (hi / 2.0 - lo / 2.0)
+        scaled = np.clip(scaled, 0.0, 1.0)
     else:
         scaled = np.zeros_like(frame)
     pixels = np.round(scaled * 255.0).astype(np.uint8)

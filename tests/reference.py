@@ -1,4 +1,4 @@
-"""Test-only references: the literal mixture posterior mean and a metrics.txt reader."""
+"""Test-only references: two mixture posterior means and a metrics.txt reader."""
 
 from __future__ import annotations
 
@@ -30,6 +30,31 @@ def oracle_posterior_mean(z: LatentField, t: float, data: MixtureDataset) -> Lat
     if total <= 0.0:
         raise NumericError("all mixture weights underflowed in the oracle")
     return LatentField((accum / total).astype(np.float64).reshape(z.data.shape))
+
+
+def direct_posterior_mean(z: LatentField, t: float, data: MixtureDataset) -> LatentField:
+    """Max-shifted posterior mean from directly computed distances.
+
+    Squares the components x values array of differences (1-t)*p_k - z, so
+    each distance is rounded on its own; reference for the production
+    path's one matrix-vector product. Falls back to the nearest component
+    (lowest index on ties) if every shifted weight vanishes. A distance that
+    overflows is inf, without a warning.
+    """
+    if t <= 0.0:
+        raise ValueError("posterior mean is undefined at t <= 0")
+    flat = data.points.reshape(data.points.shape[0], -1)
+    with np.errstate(over="ignore"):
+        diff = flat * (1.0 - t) - z.data.reshape(-1)
+        d2 = np.sum(diff * diff, axis=1)
+    with np.errstate(divide="ignore", over="ignore"):
+        exponents = np.log(data.weights) - d2 / (2.0 * t * t)
+    peak = float(np.max(exponents))
+    if not np.isfinite(peak):
+        return LatentField(data.points[int(np.argmin(d2))])
+    shifted = np.exp(exponents - peak)
+    mean = np.tensordot(shifted / float(shifted.sum()), data.points, axes=(0, 0))
+    return LatentField(mean)
 
 
 def parse_metrics(text: str) -> dict[str, float]:

@@ -7,11 +7,11 @@ from rcflow import config as cfgmod
 from rcflow.cli import main
 from rcflow.edit import EditConfig, run_edit
 from rcflow.engine import sample_noise
-from rcflow.latent import Shape
+from rcflow.latent import LatentField, Shape
 from rcflow.metrics import bg_change_rms, fg_structure_score
 from rcflow.stackio import read_stack, write_stack
 
-from reference import parse_metrics
+from reference import direct_posterior_mean, parse_metrics
 
 BASE_CONFIG = """\
 seed = 7
@@ -149,9 +149,6 @@ class TestCommands:
         assert run("generate", config, tmp_path / "g") == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
-    # fg_structure_score's own numpy calls still overflow on this stack; any
-    # warning raised in rcflow's code fails the test
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning:numpy")
     def test_huge_finite_values_give_finite_rms(self, tmp_path):
         text = "field = constant\nconstant_value = 1e200\nhf_lambda = 0\nsteps = 5\n"
         config = write_config(tmp_path, text)
@@ -170,6 +167,34 @@ class TestCommands:
         scaled = (report.output.data - z0.data)[outside] / 1e200
         assert metrics["bg_change_rms"] == pytest.approx(1e200 * np.sqrt(np.mean(scaled * scaled)), rel=1e-8)
         assert all(np.isfinite(report.per_step_residual_norm))
+
+    # pytest's filterwarnings = ["error"] fails each of these on any numpy warning
+
+    def test_mixture_edit_at_extreme_scale_matches_direct_distances(self, tmp_path, monkeypatch):
+        text = BASE_CONFIG.replace("src.illum = 1.0, 0.0, 0.0, 0.2", "src.illum = 1e300 1e300 3 1e300")
+        config = write_config(tmp_path, text)
+        assert run("edit", config, tmp_path / "fast") == 0
+        monkeypatch.setattr(
+            "rcflow.fields._posterior_mean_stable",
+            lambda z, t, data: direct_posterior_mean(LatentField(z), t, data).data,
+        )
+        assert run("edit", config, tmp_path / "direct") == 0
+        fast = (tmp_path / "fast" / "output.fps").read_bytes()
+        assert fast == (tmp_path / "direct" / "output.fps").read_bytes()
+
+    def test_structure_score_is_finite_at_extreme_scale(self, tmp_path):
+        config = write_config(tmp_path, "height = 5\nsrc.illum = 1e300 1e300 3 1e300\n")
+        assert run("edit", config, tmp_path / "e") == 0
+        score = parse_metrics((tmp_path / "e" / "metrics.txt").read_text())["fg_structure_score"]
+        assert -1.0 <= score <= 1.0
+
+    def test_frames_span_a_range_that_overflows(self, tmp_path):
+        text = "frames = 2\nsteps = 2\nfe_noise = fresh\nsrc.illum = 0 0 0 0\ntar.illum = -1e308 0 0 1e308\n"
+        config = write_config(tmp_path, text)
+        assert run("flowedit", config, tmp_path / "f") == 0
+        for name in ("frame_0000.pgm", "frame_0001.pgm"):
+            pixels = np.frombuffer((tmp_path / "f" / name).read_bytes()[-16 * 16 :], dtype=np.uint8)
+            assert pixels.any()
 
     def test_sweep_r_equals_steps(self, tmp_path):
         text = BASE_CONFIG.replace("steps = 50", "steps = 10") + "sweep_r = 1,10\n"

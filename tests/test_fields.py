@@ -2,6 +2,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rcflow.edit import consistency_residual
@@ -20,7 +23,7 @@ from rcflow.fields import (
 from rcflow.latent import LatentField, Shape, rel_error
 from rcflow.stackio import read_stack
 
-from reference import oracle_posterior_mean
+from reference import direct_posterior_mean, oracle_posterior_mean
 
 DATA_DIR = Path(__file__).parent / "data"
 SHAPE = Shape(2, 1, 16, 16)
@@ -251,6 +254,59 @@ class TestMixtureField:
             MixtureDataset(((-0.5, x), (1.5, x)))
         with pytest.raises(ValueError):
             MixtureDataset(())
+
+    def test_center_and_centered_norms(self):
+        data = three_component_dataset()
+        flat = data.points.reshape(3, -1)
+        assert_allclose(data.center, flat.mean(axis=0), rtol=1e-15)
+        assert_allclose(data.centered_sq_norms, np.sum((flat - data.center) ** 2, axis=1), rtol=1e-14)
+        assert not data.center.flags.writeable
+        assert not data.centered_sq_norms.flags.writeable
+
+    def test_bits_do_not_depend_on_latent_alignment(self):
+        # a latent viewed at any float offset inside a larger buffer gives the same bits
+        data = three_component_dataset(shape=Shape(2, 3, 8, 8))
+        field = mixture_field(data)
+        z = sample_noise(33, Shape(2, 3, 8, 8)).data
+        c = bundle((1.0, 0.0, 0.0, 0.2))
+        expected = field.evaluate(LatentField(z), 0.3, c).data.tobytes()
+        for offset in range(8):
+            buffer = np.zeros(z.size + 8)
+            buffer[offset : offset + z.size] = z.reshape(-1)
+            shifted = LatentField(buffer[offset : offset + z.size].reshape(z.shape))
+            assert np.shares_memory(shifted.data, buffer)
+            assert field.evaluate(shifted, 0.3, c).data.tobytes() == expected
+
+
+@st.composite
+def near_tie_cases(draw):
+    """(dataset, z, t): up to 8 components near-tied around z, offset by up to 1e6.
+
+    z = (1-t) o and p_k = o + (t / (1-t)) r_k with |r_k| = O(1), so every
+    exponent is -|r_k|^2 / 2 plus the log weight: the posterior is spread
+    over the components however small t is, and rides on an offset o
+    that dwarfs their gaps.
+    """
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 16))
+    t = 10.0 ** draw(st.floats(-3.0, -0.01))
+    offset = draw(hnp.arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+    gaps = draw(hnp.arrays(np.float64, (k, n), elements=st.floats(-2.0, 2.0)))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    points = offset + (t / (1.0 - t)) * gaps
+    members = tuple((w, LatentField(p.reshape(1, 1, 1, n))) for w, p in zip(weights, points))
+    z = LatentField(((1.0 - t) * offset).reshape(1, 1, 1, n))
+    return MixtureDataset(members), z, t
+
+
+@settings(deadline=None, max_examples=200)
+@given(near_tie_cases())
+def test_posterior_mean_matches_direct_distances(case):
+    data, z, t = case
+    reference = direct_posterior_mean(z, t, data).data
+    v = mixture_field(data).evaluate(z, t, bundle((1.0, 0.0, 0.0, 0.2))).data
+    bound = 1e-12 * (1.0 + np.max(np.abs(reference)))
+    assert np.max(np.abs(t * v - (reference - z.data))) <= bound
 
 
 class TestSceneMixtureField:
