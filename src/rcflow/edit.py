@@ -22,8 +22,10 @@ from .engine import (
     Schedule,
     StepObserver,
     VelocityField,
+    _last,
+    _trajectory,
     checked_evaluate,
-    euler_step,
+    euler_step,  # noqa: F401  unused here; perfbench/tracing.py rebinds it in this module
 )
 from .errors import NumericError, ShapeMismatchError
 from .latent import LatentField, Mask, hf_transfer, lerp_noise, rms
@@ -117,43 +119,25 @@ def run_edit(
         raise ShapeMismatchError(
             f"run_edit: mask {config.mask.data.shape} does not fit {z0.data.shape}"
         )
-    knots = config.schedule.knots
     steps = config.schedule.steps
     r = config.reuse_interval
-    mask = config.mask
-
+    residual: LatentField | None = None
     residual_norms: list[float] = []
 
-    z_edit = eps
-    if on_step is not None:
-        on_step(float(knots[-1]), z_edit)
-    residual: LatentField | None = None
-    residual_norm = 0.0
-    recomputations = 0
-
-    for i in range(steps, 0, -1):
-        t_hi, t_lo = knots[i], knots[i - 1]
+    def velocity(i, t_hi, z_edit):
+        nonlocal residual
         if (steps - i) % r == 0:
             residual = consistency_residual(field, z0, eps, t_hi, c_src)
-            residual_norm = rms(residual.data)
-            recomputations += 1
-        assert residual is not None
-        residual_norms.append(residual_norm)
-
+            residual_norms.append(rms(residual.data))
+        else:
+            residual_norms.append(residual_norms[-1])
         v_tar = checked_evaluate(field, z_edit, t_hi, c_tar)
-        try:
-            v_edit = LatentField(v_tar.data + mask.data * residual.data)
-            z_edit = euler_step(z_edit, t_hi, t_lo, v_edit)
-            # released before detail transfer, where a step's memory peaks
-            del v_tar, v_edit
-            if config.hf_lambda > 0:
-                z_edit = hf_transfer(
-                    z_edit, lerp_noise(z0, eps, t_lo), mask, config.hf_lambda, config.hf_rho
-                )
-        except NumericError as exc:
-            raise NumericError(f"edit latent became non-finite stepping to t={t_lo}") from exc
-        if on_step is not None:
-            on_step(float(t_lo), z_edit)
+        return v_tar.data + config.mask.data * residual.data
 
-    assert recomputations == math.ceil(steps / r)
-    return EditReport(output=z_edit, nfe=steps + recomputations, per_step_residual_norm=residual_norms)
+    def transfer(t_lo, z_edit):
+        source = lerp_noise(z0, eps, t_lo)
+        return hf_transfer(z_edit, source, config.mask, config.hf_lambda, config.hf_rho)
+
+    after = transfer if config.hf_lambda > 0 else None
+    path = _trajectory(eps, config.schedule, velocity, "edit latent", after)
+    return EditReport(_last(path, on_step), steps + math.ceil(steps / r), residual_norms)

@@ -8,7 +8,7 @@ ever evaluated at the upper knot of each step, so t=0 is never requested
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +128,44 @@ def euler_step(z: LatentField, t_hi: float, t_lo: float, v: LatentField) -> Late
     return LatentField(z.data + (t_hi - t_lo) * v.data)
 
 
+def _trajectory(
+    z: LatentField,
+    schedule: Schedule,
+    velocity: Callable[[int, float, LatentField], np.ndarray | LatentField],
+    what: str,
+    after: Callable[[float, LatentField], LatentField] | None = None,
+) -> Iterator[tuple[float, LatentField]]:
+    """The Euler walk every driver takes: yields (t, z) at t=1 and after every step.
+
+    velocity(i, t_hi, z) gives the step velocity at knot i: raw values, or a
+    checked LatentField taken as it is. after(t_lo, z), when given, maps each
+    stepped latent. A non-finite result names `what` and the step's lower knot.
+    """
+    knots = schedule.knots
+    yield float(knots[-1]), z
+    for i in range(schedule.steps, 0, -1):
+        t_hi, t_lo = knots[i], knots[i - 1]
+        v = velocity(i, t_hi, z)
+        try:
+            z = euler_step(z, t_hi, t_lo, v if isinstance(v, LatentField) else LatentField(v))
+            del v  # released before `after`, where a step's memory peaks
+            if after is not None:
+                z = after(t_lo, z)
+        except NumericError as exc:
+            raise NumericError(f"{what} became non-finite stepping to t={t_lo}") from exc
+        yield float(t_lo), z
+
+
+def _last(path: Iterator[tuple[float, LatentField]], on_step: StepObserver | None) -> LatentField:
+    """Run a trajectory to t=0, showing each (t, z) to on_step; return the last z."""
+    for t, z in path:
+        if on_step is not None:
+            on_step(t, z)
+        if t > 0.0:
+            del z  # not held while the next step and its `after` run
+    return z
+
+
 def generate(
     field: VelocityField,
     c: ConditionBundle,
@@ -140,18 +178,5 @@ def generate(
     Returns the sample and the number of field evaluations spent: exactly
     schedule.steps, one per step at the step's upper knot.
     """
-    knots = schedule.knots
-    z = eps
-    nfe = 0
-    if on_step is not None:
-        on_step(float(knots[-1]), z)
-    for i in range(schedule.steps, 0, -1):
-        v = checked_evaluate(field, z, knots[i], c)
-        nfe += 1
-        try:
-            z = euler_step(z, knots[i], knots[i - 1], v)
-        except NumericError as exc:
-            raise NumericError(f"latent became non-finite stepping to t={knots[i - 1]}") from exc
-        if on_step is not None:
-            on_step(float(knots[i - 1]), z)
-    return z, nfe
+    path = _trajectory(eps, schedule, lambda i, t, z: checked_evaluate(field, z, t, c), "latent")
+    return _last(path, on_step), schedule.steps

@@ -82,7 +82,9 @@ class ToyScene:
             dy = cy + motion * fi * np.sin(drift)
             dx = cx + motion * fi * np.cos(drift)
             for j in range(blob_count):
-                d2 = (ys - dy[j]) ** 2 + (xs - dx[j]) ** 2
+                # a blob drifted out of float range is inf away, and exp(-inf) = 0 is right
+                with np.errstate(over="ignore"):
+                    d2 = (ys - dy[j]) ** 2 + (xs - dx[j]) ** 2
                 frames[fi] += amp[j] * np.exp(-d2 / (2.0 * sigma[j] ** 2))
         return np.broadcast_to(frames[:, None, :, :], (f, c, h, w)).copy()
 
@@ -253,11 +255,11 @@ def _posterior_mean_stable(z: np.ndarray, t: float, data: MixtureDataset) -> np.
     With s = 1 - t, m = data.center and y = z - s*m, the squared distance
     ||s*p_k - z||^2 equals s^2 ||p_k - m||^2 - 2s <p_k, y> plus a term that
     is the same for every k, which the max shift cancels: one
-    matrix-vector product gives every distance. Where any of these, or
-    ||y||^2, is not finite, the call takes the direct distances instead.
+    matrix-vector product gives every distance. Where any of these is not
+    finite, the call takes the direct distances instead.
 
-    Falls back to the nearest component by direct distance (lowest index on
-    ties) if every shifted weight still vanishes.
+    Falls back to the nearest component by the distances it holds (lowest
+    index on ties) if every shifted weight still vanishes.
     """
     flat = data.points.reshape(len(data.points), -1)
     s = 1.0 - t
@@ -265,17 +267,14 @@ def _posterior_mean_stable(z: np.ndarray, t: float, data: MixtureDataset) -> np.
     with np.errstate(over="ignore", invalid="ignore"):
         y = z - s * data.center
         d2 = s * s * data.centered_sq_norms - 2.0 * s * (flat @ y)
-        # the dropped common term holds ||y||^2; where it overflows, the distances
-        # are out of float range, and the direct ones (inf) decide as they always have
-        finite = np.isfinite(y @ y) and np.all(np.isfinite(d2))
-    if not finite:
+    if not np.all(np.isfinite(d2)):
         d2 = _sq_distances(flat, s, z)
     # a zero weight beside an overflowing negative distance gives nan, caught by the peak
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         exponents = np.log(data.weights) - d2 / (2.0 * t * t)
     peak = float(np.max(exponents))
     if not np.isfinite(peak):
-        return data.points[int(np.argmin(_sq_distances(flat, s, z)))]
+        return data.points[int(np.argmin(d2))]
     shifted = np.exp(exponents - peak)
     return np.tensordot(shifted / shifted.sum(), data.points, axes=(0, 0))
 

@@ -9,6 +9,7 @@ transfer, no residual reuse). The equivalence harness checks exactly that.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,11 +21,12 @@ from .engine import (
     Schedule,
     StepObserver,
     VelocityField,
+    _last,
+    _trajectory,
     checked_evaluate,
-    euler_step,
+    euler_step,  # noqa: F401  unused here; perfbench/tracing.py rebinds it in this module
     sample_noise,
 )
-from .errors import NumericError
 from .latent import LatentField, Mask, lerp_noise, rel_error
 from .rng import derive_seed
 
@@ -55,6 +57,37 @@ class FlowEditConfig:
             raise ValueError("fixed noise mode requires n_avg == 1")
 
 
+def _flowedit_trajectory(
+    field: VelocityField,
+    z0: LatentField,
+    c_src: ConditionBundle,
+    c_tar: ConditionBundle,
+    config: FlowEditConfig,
+) -> Iterator[tuple[float, LatentField]]:
+    """flowedit_run's walk, yielding the edit latent at t=1 and after every step."""
+    shape = z0.shape
+    fixed_eps = sample_noise(config.seed, shape) if config.noise_mode is NoiseMode.FIXED else None
+
+    def velocity(i, t_hi, z_edit):
+        total = np.zeros(z0.data.shape)
+        # displacement first: when the edit latent still equals the input,
+        # the predicted point is exactly the source point and the velocities
+        # cancel identically under equal conditions
+        displacement = z_edit.data - z0.data
+        for draw in range(config.n_avg):
+            eps_t = fixed_eps
+            if eps_t is None:
+                eps_t = sample_noise(derive_seed(config.seed, i, draw), shape)
+            z_t = lerp_noise(z0, eps_t, t_hi)
+            z_pred = LatentField(z_t.data + displacement)
+            v_tar = checked_evaluate(field, z_pred, t_hi, c_tar)
+            v_src = checked_evaluate(field, z_t, t_hi, c_src)
+            total += v_tar.data - v_src.data
+        return total / config.n_avg
+
+    return _trajectory(z0, config.schedule, velocity, "edit latent")
+
+
 def flowedit_run(
     field: VelocityField,
     z0: LatentField,
@@ -72,41 +105,8 @@ def flowedit_run(
     evaluations spent, 2 * n_avg per step. on_step, when given, sees the
     edit latent at t=1 and after every step.
     """
-    knots = config.schedule.knots
-    steps = config.schedule.steps
-    shape = z0.shape
-
-    fixed_eps = sample_noise(config.seed, shape) if config.noise_mode is NoiseMode.FIXED else None
-
-    z_edit = z0
-    nfe = 0
-    if on_step is not None:
-        on_step(float(knots[-1]), z_edit)
-    for i in range(steps, 0, -1):
-        t_hi, t_lo = knots[i], knots[i - 1]
-        total = np.zeros(z0.data.shape)
-        # displacement first: when the edit latent still equals the input,
-        # the predicted point is exactly the source point and the velocities
-        # cancel identically under equal conditions
-        displacement = z_edit.data - z0.data
-        for draw in range(config.n_avg):
-            if fixed_eps is not None:
-                eps_t = fixed_eps
-            else:
-                eps_t = sample_noise(derive_seed(config.seed, i, draw), shape)
-            z_t = lerp_noise(z0, eps_t, t_hi)
-            z_pred = LatentField(z_t.data + displacement)
-            v_tar = checked_evaluate(field, z_pred, t_hi, c_tar)
-            v_src = checked_evaluate(field, z_t, t_hi, c_src)
-            nfe += 2
-            total += v_tar.data - v_src.data
-        try:
-            z_edit = euler_step(z_edit, t_hi, t_lo, LatentField(total / config.n_avg))
-        except NumericError as exc:
-            raise NumericError(f"edit latent became non-finite stepping to t={t_lo}") from exc
-        if on_step is not None:
-            on_step(float(t_lo), z_edit)
-    return z_edit, nfe
+    path = _flowedit_trajectory(field, z0, c_src, c_tar, config)
+    return _last(path, on_step), 2 * config.n_avg * config.schedule.steps
 
 
 @dataclass(frozen=True)
@@ -146,42 +146,33 @@ def equivalence_check(
     """Compare fixed-noise editing against the residual-corrected run.
 
     Both runs share the noise derived from `seed` and walk the same
-    schedule. The residual-corrected trajectory (full mask, no detail
-    transfer, residual refreshed every step) is kept knot by knot; the
-    fixed-noise run then reconstructs its predicted-sample trajectory as
-    it steps and matches it against that. The check passes iff every
-    relative deviation stays within tol.
+    schedule, in lockstep. At every knot the fixed-noise run's edit latent
+    is mapped to its predicted sample and matched against the
+    residual-corrected latent (full mask, no detail transfer, residual
+    refreshed every step). The check passes iff every relative deviation
+    stays within tol.
     """
     if tol < 0.0:
         raise ValueError(f"tol must be >= 0, got {tol}")
     eps = sample_noise(seed, z0.shape)
-    edit_config = EditConfig(
-        schedule=schedule,
-        mask=Mask.ones(z0.shape),
-        reuse_interval=1,
-        hf_lambda=0.0,
-    )
-    edit_latents: list[LatentField] = []
-    report = run_edit(
-        field, z0, c_src, c_tar, eps, edit_config, lambda t, z: edit_latents.append(z)
-    )
-
+    edit_config = EditConfig(schedule, Mask.ones(z0.shape), reuse_interval=1, hf_lambda=0.0)
+    fe_config = FlowEditConfig(schedule=schedule, noise_mode=NoiseMode.FIXED, n_avg=1, seed=seed)
+    fe_path = _flowedit_trajectory(field, z0, c_src, c_tar, fe_config)
     timesteps: list[float] = []
     deviations: list[float] = []
 
-    def compare(t: float, z_fe: LatentField) -> None:
+    def compare(t: float, z_edit: LatentField) -> None:
+        _, z_fe = next(fe_path)
         z_pred = LatentField(lerp_noise(z0, eps, t).data + (z_fe.data - z0.data))
-        deviations.append(rel_error(z_pred, edit_latents[len(timesteps)]))
+        deviations.append(rel_error(z_pred, z_edit))
         timesteps.append(t)
 
-    fe_config = FlowEditConfig(schedule=schedule, noise_mode=NoiseMode.FIXED, n_avg=1, seed=seed)
-    _, fe_nfe = flowedit_run(field, z0, c_src, c_tar, fe_config, compare)
-    passed = all(d <= tol for d in deviations)
+    report = run_edit(field, z0, c_src, c_tar, eps, edit_config, compare)
     return EquivalenceReport(
         timesteps=tuple(timesteps),
         deviations=tuple(deviations),
         tol=float(tol),
-        passed=passed,
-        flowedit_nfe=fe_nfe,
+        passed=all(d <= tol for d in deviations),
+        flowedit_nfe=2 * schedule.steps,
         edit_nfe=report.nfe,
     )

@@ -1,9 +1,12 @@
-"""Test-only references: two mixture posterior means and a metrics.txt reader."""
+"""Test-only references: two mixture posterior means, an evaluation counter, a metrics.txt reader."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
+from rcflow.engine import VelocityField
 from rcflow.errors import NumericError
 from rcflow.fields import MixtureDataset
 from rcflow.latent import LatentField
@@ -37,9 +40,10 @@ def direct_posterior_mean(z: LatentField, t: float, data: MixtureDataset) -> Lat
 
     Squares the components x values array of differences (1-t)*p_k - z, so
     each distance is rounded on its own; reference for the production
-    path's one matrix-vector product. Falls back to the nearest component
-    (lowest index on ties) if every shifted weight vanishes. A distance that
-    overflows is inf, without a warning.
+    path's one matrix-vector product. Falls back to the nearest component by
+    exact rational distance (lowest index on ties) if every shifted weight
+    vanishes, so a tie of overflowed distances still picks the right one. A
+    distance that overflows is inf, without a warning.
     """
     if t <= 0.0:
         raise ValueError("posterior mean is undefined at t <= 0")
@@ -51,10 +55,25 @@ def direct_posterior_mean(z: LatentField, t: float, data: MixtureDataset) -> Lat
         exponents = np.log(data.weights) - d2 / (2.0 * t * t)
     peak = float(np.max(exponents))
     if not np.isfinite(peak):
-        return LatentField(data.points[int(np.argmin(d2))])
+        s = Fraction(1.0 - t)
+        z_exact = [Fraction(v) for v in z.data.reshape(-1).tolist()]
+        exact = [sum((s * Fraction(p) - v) ** 2 for p, v in zip(row.tolist(), z_exact)) for row in flat]
+        return LatentField(data.points[exact.index(min(exact))])
     shifted = np.exp(exponents - peak)
     mean = np.tensordot(shifted / float(shifted.sum()), data.points, axes=(0, 0))
     return LatentField(mean)
+
+
+class CountingField(VelocityField):
+    """Delegates to `inner` and records the condition of every evaluation."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def evaluate(self, z, t, c):
+        self.calls.append(c)
+        return self.inner.evaluate(z, t, c)
 
 
 def parse_metrics(text: str) -> dict[str, float]:

@@ -2,9 +2,12 @@
 
 Deleting or renaming one of those sites breaks the benchmark, and only its
 own slow tests would notice, so this installs both hook levels in a fresh
-process.
+process. It then runs four desk-size commands and checks that the traced
+calls still happen where tracing rebinds them: a loop that called
+`euler_step` by a name tracing does not rebind would count 0.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -12,17 +15,44 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-INSTALL = """
+SCRIPT = """
+import json
+import sys
+
 from tracing import PassRecord, Tracer, install_pass_hooks, install_tracing
 
+tracer = Tracer()
 install_pass_hooks(PassRecord())
-install_tracing(Tracer())
+install_tracing(tracer)
+
+from rcflow.cli import main
+
+work = sys.argv[1]
+counts = {}
+for command in ("generate", "edit", "flowedit", "equivalence"):
+    start = len(tracer.spans)
+    code = main([command, "--config", work + "/desk.cfg", "--out", work + "/" + command])
+    names = [span[0] for span in tracer.spans[start:]]
+    counts[command] = {
+        "code": code,
+        "euler_step": names.count("engine.euler_step"),
+        "consistency_residual": names.count("edit.consistency_residual"),
+    }
+print(json.dumps(counts))
 """
 
 
-def test_benchmark_hooks_resolve():
+def test_benchmark_hooks_resolve(tmp_path):
+    (tmp_path / "desk.cfg").write_text("steps = 20\nreuse_interval = 4\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
     result = subprocess.run(
-        [sys.executable, "-c", INSTALL], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    counts = json.loads(result.stdout.splitlines()[-1])
+    assert {name: c["code"] for name, c in counts.items()} == dict.fromkeys(counts, 0)
+    assert {name: c["euler_step"] for name, c in counts.items()} == {
+        "generate": 20, "edit": 20, "flowedit": 20, "equivalence": 40,
+    }
+    assert counts["edit"]["consistency_residual"] == 5

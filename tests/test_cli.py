@@ -196,6 +196,12 @@ class TestCommands:
             pixels = np.frombuffer((tmp_path / "f" / name).read_bytes()[-16 * 16 :], dtype=np.uint8)
             assert pixels.any()
 
+    @pytest.mark.parametrize("command", ["generate", "edit", "flowedit"])
+    def test_far_blobs_run_without_warnings(self, command, tmp_path):
+        # motion 1e200 drifts every blob past frame 0 out of float range
+        text = "frames = 3\nsteps = 5\nsrc.agnostic = 5 3 1e200\ntar.agnostic = 5 3 1e200\n"
+        assert run(command, write_config(tmp_path, text), tmp_path / "o") == 0
+
     def test_sweep_r_equals_steps(self, tmp_path):
         text = BASE_CONFIG.replace("steps = 50", "steps = 10") + "sweep_r = 1,10\n"
         text = text.replace("reuse_interval = 10", "reuse_interval = 1")

@@ -16,6 +16,8 @@ from rcflow.errors import ShapeMismatchError
 from rcflow.fields import ToyScene, constant_field, point_field, render_target, scene_mixture_field
 from rcflow.latent import LatentField, Mask, Shape, hf_transfer, lerp_noise, rel_error
 
+from reference import CountingField
+
 SHAPE = Shape(2, 1, 16, 16)
 SRC = ConditionBundle(illum_params=(1.0, 0.0, 0.0, 0.2), agnostic_params=(5.0, 3.0, 0.5))
 TAR = ConditionBundle(illum_params=(2.0, 0.3, 0.8, 0.6), agnostic_params=(5.0, 3.0, 0.5))
@@ -41,18 +43,6 @@ class TimeRampField(VelocityField):
 
     def evaluate(self, z, t, c):
         return LatentField(t * self.k.data)
-
-
-class CountingField(VelocityField):
-    """Delegates to `inner` and records the condition of every evaluation."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = []
-
-    def evaluate(self, z, t, c):
-        self.calls.append(c)
-        return self.inner.evaluate(z, t, c)
 
 
 def restoration_velocity(z0, eps):

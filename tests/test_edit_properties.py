@@ -2,7 +2,9 @@
 
 Extents run from 1 to 5, so odd and length-1 axes are common; schedules
 have 1 to 12 steps between strictly increasing knots; masks are
-fractional. Every case runs on the point field or the scene mixture.
+fractional. Every case runs on the point field or the scene mixture,
+except the faithful-relighting case, which needs the point field's closed
+form.
 """
 
 import math
@@ -15,25 +17,17 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_array_equal
 
 from rcflow.edit import EditConfig, run_edit
-from rcflow.engine import ConditionBundle, Schedule, VelocityField, generate, sample_noise
+from rcflow.engine import ConditionBundle, Schedule, generate, make_uniform_schedule, sample_noise
 from rcflow.fields import ToyScene, point_field, render_target, scene_mixture_field
 from rcflow.flowedit import equivalence_check
-from rcflow.latent import Mask, Shape, hf_transfer, rel_error
+from rcflow.latent import LatentField, Mask, Shape, hf_transfer, rel_error
+
+from reference import CountingField
 
 SRC = ConditionBundle(illum_params=(1.0, 0.0, 0.0, 0.2), agnostic_params=(5.0, 3.0, 0.5))
 TAR = ConditionBundle(illum_params=(2.0, 0.3, 0.8, 0.6), agnostic_params=(5.0, 3.0, 0.5))
 
 FAST = settings(deadline=None, max_examples=40)
-
-
-class CountingField(VelocityField):
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-
-    def evaluate(self, z, t, c):
-        self.calls += 1
-        return self.inner.evaluate(z, t, c)
 
 
 @st.composite
@@ -98,7 +92,7 @@ def test_nfe_is_steps_plus_refreshes(case):
     counting = CountingField(field)
     report = run_edit(counting, z0, SRC, TAR, eps, _config(schedule, mask, r, hf_lambda, hf_rho))
     expected = schedule.steps + math.ceil(schedule.steps / r)
-    assert report.nfe == counting.calls == expected
+    assert report.nfe == len(counting.calls) == expected
 
 
 @FAST
@@ -106,3 +100,42 @@ def test_nfe_is_steps_plus_refreshes(case):
 def test_fixed_noise_equivalence(case, seed):
     field, z0, _, schedule, *_ = case
     assert equivalence_check(field, z0, SRC, TAR, schedule, seed, 1e-6).passed
+
+
+# (gain, tilt, angle, background_level)
+ILLUMS = st.tuples(st.floats(-3.0, 3.0), st.floats(-2.0, 2.0), st.floats(-4.0, 4.0), st.floats(-2.0, 2.0))
+SCHEDULES = st.one_of(
+    st.integers(1, 12).map(make_uniform_schedule),
+    st.lists(st.floats(1e-3, 1.0, exclude_max=True), max_size=11, unique=True).map(
+        lambda knots: Schedule([0.0, *sorted(knots), 1.0])
+    ),
+    # knots crowding both ends of [0, 1]
+    st.sampled_from([Schedule([0.0, 1e-12, 1.0]), Schedule([0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0])]),
+)
+
+
+@st.composite
+def relight_cases(draw):
+    """(scene, z0, eps, schedule, mask, src, tar) with drawn input and illuminations."""
+    shape = Shape(*(draw(st.integers(1, hi)) for hi in (3, 2, 5, 5)))
+    mask_shape = (shape.frames, 1, shape.height, shape.width)
+    mask = Mask(draw(hnp.arrays(np.float64, mask_shape, elements=st.floats(0.0, 1.0))))
+    z0 = LatentField(draw(hnp.arrays(np.float64, shape.as_tuple(), elements=st.floats(-3.0, 3.0))))
+    eps = sample_noise(draw(st.integers(0, 2**64 - 1)), shape)
+    src, tar = (ConditionBundle(draw(ILLUMS), SRC.agnostic_params) for _ in range(2))
+    return ToyScene(shape), z0, eps, draw(SCHEDULES), mask, src, tar
+
+
+@FAST
+@given(relight_cases())
+def test_point_field_relights_faithfully(case):
+    """With the point field, r = 1 and no detail transfer, the edit is T_tar + M * (z0 - T_src).
+
+    T_c is the scene rendered under c: the edit keeps z0's departure from the
+    source render inside the mask and relights only the render.
+    """
+    scene, z0, eps, schedule, mask, src, tar = case
+    config = EditConfig(schedule=schedule, mask=mask, reuse_interval=1, hf_lambda=0.0)
+    output = run_edit(point_field(scene), z0, src, tar, eps, config).output
+    t_src, t_tar = render_target(scene, src).data, render_target(scene, tar).data
+    assert rel_error(output, LatentField(t_tar + mask.data * (z0.data - t_src))) <= 1e-12

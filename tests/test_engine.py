@@ -15,6 +15,8 @@ from rcflow.errors import NumericError, ShapeMismatchError
 from rcflow.fields import ToyScene, constant_field, point_field, render_target
 from rcflow.latent import LatentField, Shape
 
+from reference import CountingField
+
 SHAPE = Shape(2, 1, 8, 8)
 SRC = ConditionBundle(illum_params=(1.0, 0.0, 0.0, 0.2), agnostic_params=(5.0, 3.0, 0.5))
 
@@ -115,8 +117,9 @@ class TestGenerate:
     @pytest.mark.parametrize("steps", [1, 3, 20])
     def test_nfe_equals_step_count(self, steps):
         eps = sample_noise(9, SHAPE)
-        _, nfe = generate(constant_field(eps), SRC, eps, make_uniform_schedule(steps))
-        assert nfe == steps
+        field = CountingField(constant_field(eps))
+        _, nfe = generate(field, SRC, eps, make_uniform_schedule(steps))
+        assert nfe == len(field.calls) == steps
 
     def test_deterministic_and_condition_stable(self):
         scene = ToyScene(SHAPE)

@@ -20,6 +20,8 @@ from rcflow.fields import (
 from rcflow.flowedit import FlowEditConfig, NoiseMode, equivalence_check, flowedit_run
 from rcflow.latent import LatentField, Mask, Shape, rel_error
 
+from reference import CountingField
+
 SHAPE = Shape(2, 1, 16, 16)
 SRC = ConditionBundle(illum_params=(1.0, 0.0, 0.0, 0.2), agnostic_params=(5.0, 3.0, 0.5))
 TAR = ConditionBundle(illum_params=(2.0, 0.3, 0.8, 0.6), agnostic_params=(5.0, 3.0, 0.5))
@@ -58,9 +60,10 @@ class TestFlowEditRun:
 
     def test_fixed_noise_nfe(self):
         _, field, z0 = scene_setup()
+        counting = CountingField(field)
         config = FlowEditConfig(schedule=make_uniform_schedule(50), seed=5)
-        _, nfe = flowedit_run(field, z0, SRC, TAR, config)
-        assert nfe == 100
+        _, nfe = flowedit_run(counting, z0, SRC, TAR, config)
+        assert nfe == len(counting.calls) == 100
 
     @pytest.mark.parametrize("n_avg,expected", [(1, 100), (2, 200)])
     def test_fresh_noise_nfe(self, n_avg, expected):
@@ -71,8 +74,10 @@ class TestFlowEditRun:
             n_avg=n_avg,
             seed=5,
         )
-        _, nfe = flowedit_run(field, z0, SRC, TAR, config)
-        assert nfe == expected
+        counting = CountingField(field)
+        _, nfe = flowedit_run(counting, z0, SRC, TAR, config)
+        assert nfe == len(counting.calls) == expected
+        assert counting.calls.count(SRC) == counting.calls.count(TAR) == expected // 2
 
     def test_fixed_mode_requires_single_draw(self):
         with pytest.raises(ValueError):

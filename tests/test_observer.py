@@ -1,4 +1,4 @@
-"""The per-step observer shared by generate, run_edit and flowedit_run."""
+"""The per-step observer shared by generate, run_edit and flowedit_run, and flat memory per step."""
 
 import tracemalloc
 
@@ -7,7 +7,7 @@ import pytest
 from rcflow.edit import EditConfig, run_edit
 from rcflow.engine import ConditionBundle, Schedule, generate, make_uniform_schedule, sample_noise
 from rcflow.fields import ToyScene, point_field, render_target
-from rcflow.flowedit import FlowEditConfig, flowedit_run
+from rcflow.flowedit import FlowEditConfig, equivalence_check, flowedit_run
 from rcflow.latent import Shape
 
 SRC = ConditionBundle(illum_params=(1.0, 0.0, 0.0, 0.2), agnostic_params=(5.0, 3.0, 0.5))
@@ -15,7 +15,11 @@ TAR = ConditionBundle(illum_params=(2.0, 0.3, 0.8, 0.6), agnostic_params=(5.0, 3
 
 
 def drivers(shape, r):
-    """Each driver as run(schedule, on_step) -> output, on one shared case."""
+    """Each driver as run(schedule, on_step) -> output, on one shared case.
+
+    equivalence_check walks two trajectories and takes no observer; it
+    returns its report.
+    """
     scene = ToyScene(shape)
     field = point_field(scene)
     z0 = render_target(scene, SRC)
@@ -29,6 +33,7 @@ def drivers(shape, r):
         "flowedit_run": lambda schedule, on_step=None: flowedit_run(
             field, z0, SRC, TAR, FlowEditConfig(schedule, seed=1), on_step
         )[0],
+        "equivalence_check": lambda schedule: equivalence_check(field, z0, SRC, TAR, schedule, 1, 1e-6),
     }
 
 
@@ -58,7 +63,7 @@ def _peak_bytes(run, steps):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name", ["run_edit", "flowedit_run"])
+@pytest.mark.parametrize("name", ["run_edit", "flowedit_run", "equivalence_check"])
 def test_memory_does_not_grow_with_steps(name):
     shape = Shape(2, 1, 32, 32)
     latent_bytes = shape.count * 8
