@@ -209,6 +209,7 @@ def build_experiment_config(
             value = spec.metadata["parse"](key, known[key])
             _check_range(spec.metadata["ok"](value), key, spec.metadata["requirement"])
             setattr(cfg, spec.name, value)
+    _check_range("steps" not in known or cfg.knots is None, "steps", "must not be set with knots")
     for key, params in (("src.agnostic", cfg.src_agnostic), ("tar.agnostic", cfg.tar_agnostic)):
         _check_range(params[1] <= MAX_BLOBS, key, f"blob count must be <= {MAX_BLOBS}")
     values = cfg.frames * cfg.channels * cfg.height * cfg.width

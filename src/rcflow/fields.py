@@ -7,9 +7,10 @@ That makes "change only the lighting" a checkable statement at desk scale.
 
 Field catalogue:
   constant_field      fixed velocity everywhere; closed-form trajectories
-  point_field         pulls straight at the rendered target; Euler-exact
   mixture_field       posterior-mean flow over a fixed point-mass mixture
   scene_mixture_field mixture whose components are built per condition
+  point_field         the one-component scene mixture: pulls straight at
+                      the rendered target; Euler-exact
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -143,16 +145,15 @@ class MixtureDataset:
 
     `points` (components x frames x channels x height x width) and `weights`
     are stacked once, read-only; each component's field is a view into
-    `points`, so the points are held once. `center` (the mean point,
-    flattened) and `centered_sq_norms` (each ||p_k - center||^2) are computed
-    once, one component at a time, for the posterior mean's distances.
+    `points`, so the points are held once. A single component is viewed, not
+    copied, and keeps its field. `center` (the mean point, flattened) and
+    `centered_sq_norms` (each ||p_k - center||^2) are computed on first use,
+    one component at a time, for the posterior mean's distances.
     """
 
     components: tuple[tuple[float, LatentField], ...]
     points: np.ndarray = dc_field(init=False, repr=False, compare=False)
     weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
-    center: np.ndarray = dc_field(init=False, repr=False, compare=False)
-    centered_sq_norms: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.components:
@@ -166,24 +167,36 @@ class MixtureDataset:
         total = float(weights.sum())
         if total <= 0.0:
             raise ValueError("mixture weights must not all be zero")
-        normalized = np.array([float(w) / total for w, _ in self.components])
-        points = np.stack([point.data for _, point in self.components])
-        flat = points.reshape(len(points), -1)
-        norms = np.empty(len(flat))
+        weights = weights / total
+        fields = [point for _, point in self.components]
+        if len(fields) == 1:
+            points = fields[0].data[None]
+        else:
+            points = np.stack([point.data for point in fields])
+            fields = [LatentField(p) for p in points]
+        weights.flags.writeable = False
+        points.flags.writeable = False
+        object.__setattr__(self, "components", tuple(zip(weights.tolist(), fields)))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights", weights)
+
+    @cached_property
+    def center(self) -> np.ndarray:
         # an overflowing center or norm is inf; the posterior mean then takes the direct distances
         with np.errstate(over="ignore", invalid="ignore"):
-            center = flat.mean(axis=0)
-            for k, row in enumerate(flat):
-                centered = row - center
+            center = self.points.reshape(len(self.points), -1).mean(axis=0)
+        center.flags.writeable = False
+        return center
+
+    @cached_property
+    def centered_sq_norms(self) -> np.ndarray:
+        norms = np.empty(len(self.points))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, row in enumerate(self.points.reshape(len(self.points), -1)):
+                centered = row - self.center
                 norms[k] = centered @ centered
-        for array in (normalized, points, center, norms):
-            array.flags.writeable = False
-        components = tuple((float(w), LatentField(p)) for w, p in zip(normalized, points))
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", normalized)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "centered_sq_norms", norms)
+        norms.flags.writeable = False
+        return norms
 
 
 class _ConstantField(VelocityField):
@@ -218,30 +231,6 @@ class _RenderCache:
         return value
 
 
-class _PointField(VelocityField):
-    """Pulls straight toward the scene render for the active condition.
-
-    Along the exact interpolation path the velocity is constant, so Euler
-    integration lands on the render regardless of the schedule.
-    """
-
-    def __init__(self, scene: ToyScene):
-        self.scene = scene
-        self._cache = _RenderCache(lambda c: render_target(scene, c))
-
-    def evaluate(self, z: LatentField, t: float, c: ConditionBundle) -> LatentField:
-        if t <= 0.0:
-            raise ValueError("point field is undefined at t <= 0")
-        target = self._cache.get(c)
-        if target.data.shape != z.data.shape:
-            raise ShapeMismatchError(f"scene is {target.data.shape}, latent is {z.data.shape}")
-        return LatentField((target.data - z.data) / t)
-
-
-def point_field(scene: ToyScene) -> VelocityField:
-    return _PointField(scene)
-
-
 def _sq_distances(flat: np.ndarray, s: float, z: np.ndarray) -> np.ndarray:
     """||s * p_k - z||^2 for every row p_k of `flat`, inf where it overflows."""
     with np.errstate(over="ignore"):
@@ -261,6 +250,9 @@ def _posterior_mean_stable(z: np.ndarray, t: float, data: MixtureDataset) -> np.
     Falls back to the nearest component by the distances it holds (lowest
     index on ties) if every shifted weight still vanishes.
     """
+    if len(data.points) == 1:
+        # every form above gives the one component weight exactly 1.0
+        return data.points[0]
     flat = data.points.reshape(len(data.points), -1)
     s = 1.0 - t
     z = z.reshape(-1)
@@ -305,7 +297,9 @@ class _MixtureField(VelocityField):
                 f"mixture components are {data.points.shape[1:]}, latent is {z.data.shape}"
             )
         mean = _posterior_mean_stable(z.data, t, data)
-        return LatentField((mean - z.data) / t)
+        # an overflow at tiny t is inf, which LatentField reports as a NumericError
+        with np.errstate(over="ignore"):
+            return LatentField((mean - z.data) / t)
 
 
 def mixture_field(data: MixtureDataset) -> VelocityField:
@@ -313,9 +307,7 @@ def mixture_field(data: MixtureDataset) -> VelocityField:
     return _MixtureField(lambda c: data)
 
 
-def scene_mixture_field(
-    scene: ToyScene, components: int = 3, spread: float = 0.3, seed: int = 1
-) -> VelocityField:
+def scene_mixture_field(scene: ToyScene, components: int, spread: float, seed: int) -> VelocityField:
     """Mixture flow whose components are built per condition bundle.
 
     Component 0 is the exact render; the rest add fixed smooth perturbations
@@ -335,3 +327,8 @@ def scene_mixture_field(
         return MixtureDataset(tuple(members))
 
     return _MixtureField(_RenderCache(build_dataset).get)
+
+
+def point_field(scene: ToyScene) -> VelocityField:
+    """The one-component scene mixture: pulls straight at the render, so Euler lands on it exactly."""
+    return scene_mixture_field(scene, 1, 0.0, 0)

@@ -63,10 +63,13 @@ def _flowedit_trajectory(
     c_src: ConditionBundle,
     c_tar: ConditionBundle,
     config: FlowEditConfig,
+    fixed_eps: LatentField | None,
 ) -> Iterator[tuple[float, LatentField]]:
-    """flowedit_run's walk, yielding the edit latent at t=1 and after every step."""
+    """flowedit_run's walk, yielding the edit latent at t=1 and after every step.
+
+    fixed_eps is the fixed mode's one noise, None in fresh mode.
+    """
     shape = z0.shape
-    fixed_eps = sample_noise(config.seed, shape) if config.noise_mode is NoiseMode.FIXED else None
 
     def velocity(i, t_hi, z_edit):
         total = np.zeros(z0.data.shape)
@@ -82,7 +85,9 @@ def _flowedit_trajectory(
             z_pred = LatentField(z_t.data + displacement)
             v_tar = checked_evaluate(field, z_pred, t_hi, c_tar)
             v_src = checked_evaluate(field, z_t, t_hi, c_src)
-            total += v_tar.data - v_src.data
+            # an overflow is inf, which the step reports as a NumericError
+            with np.errstate(over="ignore", invalid="ignore"):
+                total += v_tar.data - v_src.data
         return total / config.n_avg
 
     return _trajectory(z0, config.schedule, velocity, "edit latent")
@@ -105,7 +110,8 @@ def flowedit_run(
     evaluations spent, 2 * n_avg per step. on_step, when given, sees the
     edit latent at t=1 and after every step.
     """
-    path = _flowedit_trajectory(field, z0, c_src, c_tar, config)
+    fixed_eps = sample_noise(config.seed, z0.shape) if config.noise_mode is NoiseMode.FIXED else None
+    path = _flowedit_trajectory(field, z0, c_src, c_tar, config, fixed_eps)
     return _last(path, on_step), 2 * config.n_avg * config.schedule.steps
 
 
@@ -157,7 +163,7 @@ def equivalence_check(
     eps = sample_noise(seed, z0.shape)
     edit_config = EditConfig(schedule, Mask.ones(z0.shape), reuse_interval=1, hf_lambda=0.0)
     fe_config = FlowEditConfig(schedule=schedule, noise_mode=NoiseMode.FIXED, n_avg=1, seed=seed)
-    fe_path = _flowedit_trajectory(field, z0, c_src, c_tar, fe_config)
+    fe_path = _flowedit_trajectory(field, z0, c_src, c_tar, fe_config, eps)
     timesteps: list[float] = []
     deviations: list[float] = []
 

@@ -241,11 +241,13 @@ def hf_transfer(
     if hf_lambda == 0.0:
         return z_edit
     h, w = z_edit.data.shape[2:]
-    spectrum = np.fft.rfft2(z_src.data - z_edit.data)
-    spectrum *= _high_half_bins(h, w, rho)
-    detail = np.fft.irfft2(spectrum, s=(h, w))
-    detail *= hf_lambda * mask.data
-    detail += z_edit.data
+    # an overflow gives inf or nan, which LatentField reports as a NumericError
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.rfft2(z_src.data - z_edit.data)
+        spectrum *= _high_half_bins(h, w, rho)
+        detail = np.fft.irfft2(spectrum, s=(h, w))
+        detail *= hf_lambda * mask.data
+        detail += z_edit.data
     return LatentField(detail)
 
 

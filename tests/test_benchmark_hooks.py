@@ -4,7 +4,8 @@ Deleting or renaming one of those sites breaks the benchmark, and only its
 own slow tests would notice, so this installs both hook levels in a fresh
 process. It then runs four desk-size commands and checks that the traced
 calls still happen where tracing rebinds them: a loop that called
-`euler_step` by a name tracing does not rebind would count 0.
+`euler_step` by a name tracing does not rebind would count 0. The noise
+and render counts also pin what each command computes once.
 """
 
 import json
@@ -37,6 +38,8 @@ for command in ("generate", "edit", "flowedit", "equivalence"):
         "code": code,
         "euler_step": names.count("engine.euler_step"),
         "consistency_residual": names.count("edit.consistency_residual"),
+        "sample_noise": names.count("engine.sample_noise"),
+        "render_target": names.count("fields.render_target"),
     }
 print(json.dumps(counts))
 """
@@ -56,3 +59,8 @@ def test_benchmark_hooks_resolve(tmp_path):
         "generate": 20, "edit": 20, "flowedit": 20, "equivalence": 40,
     }
     assert counts["edit"]["consistency_residual"] == 5
+    # one noise per command; the point field renders each bundle once and draws no noise
+    assert {name: c["sample_noise"] for name, c in counts.items()} == dict.fromkeys(counts, 1)
+    assert {name: c["render_target"] for name, c in counts.items()} == {
+        "generate": 1, "edit": 3, "flowedit": 3, "equivalence": 3,
+    }

@@ -129,6 +129,22 @@ class TestCommands:
         assert [int(row[1]) for row in rows] == [100, 75, 60, 55]
         assert float(rows[0][2]) == 0.0
 
+    def test_sweep_reuse_identity_column(self, tmp_path):
+        # an identity run (src = tar) adds each row's identity error
+        text = BASE_CONFIG.replace("tar.illum = 2.0, 0.3, 0.8, 0.6", "tar.illum = 1.0, 0.0, 0.0, 0.2")
+        text = text.replace("steps = 50", "steps = 10").replace("mask = scene", "mask = ones")
+        config = write_config(tmp_path, text + "sweep_r = 1, 2, 5\n")
+        assert run("sweep-reuse", config, tmp_path / "s") == 0
+        assert run("edit", config, tmp_path / "e", "--r", "1") == 0
+        lines = (tmp_path / "s" / "sweep.txt").read_text().splitlines()
+        assert lines[0].split() == ["r", "nfe", "reuse_gap", "identity_error"]
+        rows = [line.split() for line in lines[1:]]
+        assert [row[0] for row in rows] == ["1", "2", "5"]
+        assert all(np.isfinite(float(row[3])) for row in rows)
+        metrics = (tmp_path / "e" / "metrics.txt").read_text().splitlines()
+        # the edit's own identity check (exit 0) holds r = 1 within identity_tol
+        assert f"identity_error={rows[0][3]}" in metrics
+
     def test_unset_defaults_fit_a_short_schedule(self, tmp_path):
         # 5 steps are fewer than the default reuse interval 10 and the sweep's r = 10
         config = write_config(tmp_path, "steps = 5\n")
@@ -201,6 +217,20 @@ class TestCommands:
         # motion 1e200 drifts every blob past frame 0 out of float range
         text = "frames = 3\nsteps = 5\nsrc.agnostic = 5 3 1e200\ntar.agnostic = 5 3 1e200\n"
         assert run(command, write_config(tmp_path, text), tmp_path / "o") == 0
+
+    @pytest.mark.parametrize("command", ["edit", "sweep-reuse"])
+    def test_subnormal_knot_is_a_numeric_error(self, command, tmp_path, capsys):
+        # (target - z) / 5e-324 overflows
+        assert run(command, write_config(tmp_path, "knots = 0 5e-324 1\n"), tmp_path / "o") == 3
+        assert "velocity field failed at t=5e-324" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["edit", "flowedit", "equivalence", "sweep-reuse"])
+    def test_overflowing_step_is_a_numeric_error(self, command, tmp_path, capsys):
+        # the source and target renders are finite, their differences are not
+        text = "src.illum = 1e308 0 0 -1e308\ntar.illum = -1e308 0 0 1e308\n"
+        assert run(command, write_config(tmp_path, text), tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and "stepping to t=0.98" in err
 
     def test_sweep_r_equals_steps(self, tmp_path):
         text = BASE_CONFIG.replace("steps = 50", "steps = 10") + "sweep_r = 1,10\n"

@@ -27,7 +27,7 @@ from rcflow.engine import sample_noise
 from rcflow.errors import ConfigError
 from rcflow.fields import render_target
 from rcflow.latent import LatentField, Mask, Shape
-from rcflow.stackio import write_stack
+from rcflow.stackio import read_mask, write_stack
 
 
 def make_cfg(text="", base_dir=None):
@@ -143,6 +143,8 @@ KEY_MESSAGES = [
     ("knots = 0,2", "key 'knots': schedule must start at 0 and end at 1, got [0.0, 2.0]"),
     ("knots = 0, 0.5, 0.5, 1", "key 'knots': schedule knots must be strictly increasing"),
     ("knots = 0", "key 'knots': schedule needs at least two knots"),
+    # knots fix the step count, so a steps value beside them would be ignored
+    ("steps = 7\nknots = 0 0.5 1", "key 'steps': must not be set with knots"),
     ("reuse_interval = 2.0", "key 'reuse_interval': expected an integer, got '2.0'"),
     ("reuse_interval = 0", "key 'reuse_interval': must be >= 1"),
     ("reuse_interval = 51", "key 'reuse_interval': must not exceed the 50 schedule steps"),
@@ -334,6 +336,14 @@ class TestBuilders:
         mask = build_mask(cfg, build_scene(cfg), build_bundles(cfg)[0])
         assert mask.shape == Shape(2, 1, 16, 16)
         np.testing.assert_allclose(mask.data, 1.0)
+
+    def test_mask_file_of_the_run_shape_is_used_as_read(self, tmp_path, monkeypatch):
+        values = np.linspace(0.0, 1.0, 2 * 16 * 16).reshape(2, 1, 16, 16)
+        write_stack(tmp_path / "mask.fps", LatentField(values))
+        monkeypatch.setattr("rcflow.config.downsample_mask", None)  # not pooled: calling it fails
+        cfg = make_cfg("mask = mask.fps", base_dir=tmp_path)
+        mask = build_mask(cfg, build_scene(cfg), build_bundles(cfg)[0])
+        assert mask == read_mask(tmp_path / "mask.fps")
 
     def test_input_file_roundtrip(self, tmp_path):
         z0 = sample_noise(3, Shape(2, 1, 16, 16))
