@@ -122,13 +122,6 @@ def _key(
     return dc_field(default=default, metadata=dict(key=key, parse=parse, ok=ok, requirement=requirement))
 
 
-@dataclass(frozen=True)
-class ComponentSpec:
-    weight: float
-    file: str | None = None
-    value: float | None = None
-
-
 # Every scalar key is one field declared with _key (its parser, a range check
 # on the parsed value, and the requirement an out-of-range value is told), in
 # the order keys are checked, so the first bad key of a file is the one reported.
@@ -160,7 +153,8 @@ class ExperimentConfig:
     mixture_components: int = _key(3, _parse_int, *_AT_LEAST_1, "mixture.components")
     mixture_spread: float = _key(0.25, _parse_float, *_NON_NEGATIVE, "mixture.spread")
     mixture_seed: int = _key(1, _parse_int, *_ANY, "mixture.seed")
-    explicit_components: tuple[ComponentSpec, ...] = ()
+    # (weight, stack file or constant value) per component.N.* group
+    explicit_components: tuple[tuple[float, str | float], ...] = ()
     src_illum: tuple[float, ...] = _key((1.0, 0.0, 0.0, 0.2), *_ILLUM, "src.illum")
     src_agnostic: tuple[float, ...] = _key((5.0, 3.0, 0.5), *_AGNOSTIC, "src.agnostic")
     src_reference_file: str | None = _key(None, *_TEXT, "src.reference_file")
@@ -220,31 +214,7 @@ def build_experiment_config(
 
     if components:
         _check_range(cfg.field == "mixture", "component.*", "only valid with field = mixture")
-        specs = []
-        for index in range(len(components)):
-            if index not in components:
-                raise ConfigError(f"key 'component.{index}.*': component indices must be contiguous from 0")
-            entry = components[index]
-            if "weight" not in entry:
-                raise ConfigError(f"key 'component.{index}.weight': required")
-            weight = _parse_float(f"component.{index}.weight", entry["weight"])
-            _check_range(weight >= 0.0, f"component.{index}.weight", "must be >= 0")
-            has_file = "file" in entry
-            has_value = "value" in entry
-            if has_file == has_value:
-                raise ConfigError(
-                    f"key 'component.{index}': needs exactly one of .file or .value"
-                )
-            specs.append(
-                ComponentSpec(
-                    weight=weight,
-                    file=entry.get("file"),
-                    value=_parse_float(f"component.{index}.value", entry["value"])
-                    if has_value
-                    else None,
-                )
-            )
-        cfg.explicit_components = tuple(specs)
+        cfg.explicit_components = tuple(_parse_component(i, components.get(i)) for i in range(len(components)))
 
     # cross-field checks that need the assembled schedule; a default left
     # unset shrinks to fit a short schedule, a set value is checked as given
@@ -259,6 +229,20 @@ def build_experiment_config(
     if cfg.fe_noise == "fixed":
         _check_range(cfg.fe_navg == 1, "fe_navg", "fixed noise mode requires 1")
     return cfg
+
+
+def _parse_component(index: int, entry: dict[str, str] | None) -> tuple[float, str | float]:
+    """One component.N.* group as (weight, stack file or constant value)."""
+    key = f"component.{index}"
+    if entry is None:
+        raise ConfigError(f"key '{key}.*': component indices must be contiguous from 0")
+    if "weight" not in entry:
+        raise ConfigError(f"key '{key}.weight': required")
+    weight = _parse_float(f"{key}.weight", entry["weight"])
+    _check_range(weight >= 0.0, f"{key}.weight", "must be >= 0")
+    if ("file" in entry) == ("value" in entry):
+        raise ConfigError(f"key '{key}': needs exactly one of .file or .value")
+    return weight, entry["file"] if "file" in entry else _parse_float(f"{key}.value", entry["value"])
 
 
 def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) -> ExperimentConfig:
@@ -344,15 +328,13 @@ def build_field(cfg: ExperimentConfig, scene: ToyScene) -> VelocityField:
         return point_field(scene)
     if cfg.explicit_components:
         shape = build_shape(cfg)
-        members = []
-        for index, spec in enumerate(cfg.explicit_components):
-            if spec.file is not None:
-                point = _load_stack(cfg, f"component.{index}.file", spec.file, read_stack, shape)
-            else:
-                point = LatentField.full(shape, spec.value)
-            members.append((spec.weight, point))
+        members = tuple(
+            (weight, _load_stack(cfg, f"component.{index}.file", source, read_stack, shape)
+             if isinstance(source, str) else LatentField.full(shape, source))
+            for index, (weight, source) in enumerate(cfg.explicit_components)
+        )
         try:
-            return mixture_field(MixtureDataset(tuple(members)))
+            return mixture_field(MixtureDataset(members))
         except ValueError as exc:
             raise ConfigError(f"key 'component.*': {exc}") from exc
     return scene_mixture_field(

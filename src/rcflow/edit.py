@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .engine import (
     ConditionBundle,
     Schedule,
@@ -88,7 +90,10 @@ def consistency_residual(
     z_t = lerp_noise(z0, eps, t)
     v_src = checked_evaluate(field, z_t, t, c_src)
     try:
-        return LatentField((z0.data - eps.data) - v_src.data)
+        # an overflow is inf, which LatentField reports as a NumericError
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = (z0.data - eps.data) - v_src.data
+        return LatentField(residual)
     except NumericError as exc:
         raise NumericError(f"residual became non-finite at t={t}") from exc
 
@@ -132,7 +137,9 @@ def run_edit(
         else:
             residual_norms.append(residual_norms[-1])
         v_tar = checked_evaluate(field, z_edit, t_hi, c_tar)
-        return v_tar.data + config.mask.data * residual.data
+        # an overflow is inf, which the step's LatentField check reports as a NumericError
+        with np.errstate(over="ignore", invalid="ignore"):
+            return v_tar.data + config.mask.data * residual.data
 
     def transfer(t_lo, z_edit):
         source = lerp_noise(z0, eps, t_lo)

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .engine import ConditionBundle, VelocityField, sample_noise
-from .errors import ShapeMismatchError
+from .errors import NumericError, ShapeMismatchError
 from .latent import LatentField, Mask, Shape, freq_decompose
 from .rng import derive_seed, uniform_open
 
@@ -125,9 +125,10 @@ def render_target(scene: ToyScene, c: ConditionBundle) -> LatentField:
                 f"structural field {c.structural.data.shape} does not match scene {pattern.shape}"
             )
         pattern = pattern + STRUCTURAL_WEIGHT * c.structural.data
-    gain = scene.gain_field(c.illum_params)
-    background = scene.background(c.illum_params)
-    rendered = mask * (pattern * gain) + (1.0 - mask) * background
+    # an overflow gives inf or nan, reported below as a NumericError naming the render
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = scene.gain_field(c.illum_params)
+        rendered = mask * (pattern * gain) + (1.0 - mask) * scene.background(c.illum_params)
     if c.reference_frame is not None:
         ref = c.reference_frame.data
         if ref.shape[1:] != rendered.shape[1:]:
@@ -136,7 +137,10 @@ def render_target(scene: ToyScene, c: ConditionBundle) -> LatentField:
             )
         rendered = rendered.copy()
         rendered[0] = ref[0]
-    return LatentField(rendered)
+    try:
+        return LatentField(rendered)
+    except NumericError as exc:
+        raise NumericError(f"scene render became non-finite under illum_params {c.illum_params}") from exc
 
 
 @dataclass(frozen=True)

@@ -134,7 +134,7 @@ class Mask(_FrozenStack):
 
 @dataclass(frozen=True)
 class FreqSplit:
-    """Low/high spatial-frequency components; low + high reconstructs the input."""
+    """Low/high spatial-frequency components; low + high reconstructs the input to rounding."""
 
     low: LatentField
     high: LatentField
@@ -170,53 +170,49 @@ def lerp_noise(z0: LatentField, eps: LatentField, t: float) -> LatentField:
     return LatentField((1.0 - t) * z0.data + t * eps.data)
 
 
-def _radial_frequencies(height: int, width: int) -> np.ndarray:
-    """Normalized radial frequency per 2D DFT bin.
+@lru_cache(maxsize=None)
+def _high_half_bins(height: int, width: int, rho: float) -> np.ndarray:
+    """Read-only HIGH-band mask over the rfft2 half spectrum (width//2 + 1 columns).
 
-    Per axis of length n, bin k has wraparound frequency min(k, n-k)/(n//2);
-    a length-1 axis contributes zero. Radial value is the Euclidean norm of
-    the two per-axis frequencies.
+    Per axis of length n, bin k has normalized frequency min(k, n-k)/(n//2);
+    a length-1 axis contributes zero. A bin is HIGH where the Euclidean norm
+    of its two frequencies exceeds rho times the largest, so the DC bin
+    never is. The band is symmetric under k -> n-k, so the half spectrum
+    carries all of it.
     """
 
     def axis_freq(n: int) -> np.ndarray:
         k = np.arange(n)
-        if n == 1:
-            return np.zeros(1)
-        return np.minimum(k, n - k) / (n // 2)
+        return np.minimum(k, n - k) / (n // 2) if n > 1 else np.zeros(1)
 
-    fy = axis_freq(height)
-    fx = axis_freq(width)
-    return np.hypot(fy[:, None], fx[None, :])
+    radial = np.hypot(axis_freq(height)[:, None], axis_freq(width)[None, :])
+    high = (radial > rho * radial.max())[:, : width // 2 + 1]
+    high.flags.writeable = False
+    return high
+
+
+def _high_band(spectrum: np.ndarray, height: int, width: int, rho: float) -> np.ndarray:
+    """The HIGH band of an rfft2 half spectrum, back in space; masks `spectrum` in place.
+
+    It takes the spectrum rather than the values, so a caller's temporary
+    input is freed before the inverse transform allocates its output.
+    """
+    spectrum *= _high_half_bins(height, width, rho)
+    return np.fft.irfft2(spectrum, s=(height, width))
 
 
 def freq_decompose(x: LatentField, rho: float) -> FreqSplit:
     """Split into LOW / HIGH components with a per-frame, per-channel 2D DFT.
 
-    Bins with normalized radial frequency <= rho * r_max go to LOW (the DC
-    bin always does); everything else goes to HIGH. Each component is the
-    inverse transform of its own bins, so low + high reconstructs x up to
-    transform rounding. The temporal axis is untouched.
+    Bins with normalized radial frequency above rho * r_max form HIGH (see
+    _high_half_bins; the DC bin never does), taken by one real transform
+    pair. LOW is x - HIGH, so low + high reconstructs x up to rounding. The
+    temporal axis is untouched.
     """
     rho = _require_unit(rho, "rho")
-    radial = _radial_frequencies(x.data.shape[2], x.data.shape[3])
-    low_bins = radial <= rho * radial.max()
-    spectrum = np.fft.fft2(x.data, axes=(-2, -1))
-    low = np.fft.ifft2(spectrum * low_bins, axes=(-2, -1)).real
-    high = np.fft.ifft2(spectrum * ~low_bins, axes=(-2, -1)).real
-    return FreqSplit(LatentField(low), LatentField(high))
-
-
-@lru_cache(maxsize=None)
-def _high_half_bins(height: int, width: int, rho: float) -> np.ndarray:
-    """Read-only HIGH-band mask over the rfft2 half spectrum (width//2 + 1 columns).
-
-    The same bins as freq_decompose's HIGH band, which is symmetric under
-    k -> n-k, so the half spectrum carries all of it.
-    """
-    radial = _radial_frequencies(height, width)
-    high = (radial > rho * radial.max())[:, : width // 2 + 1]
-    high.flags.writeable = False
-    return high
+    h, w = x.data.shape[2:]
+    high = _high_band(np.fft.rfft2(x.data), h, w, rho)
+    return FreqSplit(LatentField(x.data - high), LatentField(high))
 
 
 def hf_transfer(
@@ -230,9 +226,10 @@ def hf_transfer(
 
     Returns LF(z_edit) + lambda*M*HF(z_src) + (1 - lambda*M)*HF(z_edit).
     LF + HF is the identity and HF is linear, so this is computed as
-    z_edit + lambda*M*HF(z_src - z_edit) with one real transform pair.
-    lambda == 0 returns z_edit itself (bitwise identity); a zero mask and
-    transferring a field onto itself return z_edit's values exactly.
+    z_edit + lambda*M*HF(z_src - z_edit) with the one real transform pair
+    freq_decompose also takes. lambda == 0 returns z_edit itself (bitwise
+    identity); a zero mask and transferring a field onto itself return
+    z_edit's values exactly.
     """
     _require_same_shape(z_edit, z_src, "hf_transfer")
     _require_mask_fits(mask, z_edit, "hf_transfer")
@@ -243,9 +240,7 @@ def hf_transfer(
     h, w = z_edit.data.shape[2:]
     # an overflow gives inf or nan, which LatentField reports as a NumericError
     with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = np.fft.rfft2(z_src.data - z_edit.data)
-        spectrum *= _high_half_bins(h, w, rho)
-        detail = np.fft.irfft2(spectrum, s=(h, w))
+        detail = _high_band(np.fft.rfft2(z_src.data - z_edit.data), h, w, rho)
         detail *= hf_lambda * mask.data
         detail += z_edit.data
     return LatentField(detail)

@@ -9,8 +9,6 @@ scenes; not calibrated against any perceptual metric.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .latent import LatentField, Mask, rms
@@ -36,23 +34,24 @@ def fg_structure_score(output: LatentField, source: LatentField, mask: Mask) -> 
     side) score 0.
     """
     inside = np.broadcast_to(mask.data > 0.5, output.data.shape)
-    a = _overflow_safe(_gradient_magnitude(output.data)[inside])
-    b = _overflow_safe(_gradient_magnitude(source.data)[inside])
+    a = _gradient_magnitude(_overflow_safe(output.data))[inside]
+    b = _gradient_magnitude(_overflow_safe(source.data))[inside]
     if a.size < 2 or float(a.std()) == 0.0 or float(b.std()) == 0.0:
         return 0.0
     return float(np.corrcoef(a, b)[0, 1])
 
 
-def _overflow_safe(magnitudes: np.ndarray) -> np.ndarray:
-    """The magnitudes, divided by their max where a sum of their squares could overflow.
+def _overflow_safe(data: np.ndarray) -> np.ndarray:
+    """The stack, divided by its max |value| where its gradient magnitudes' squares could overflow.
 
-    A correlation does not change when one side is scaled, and a sum of n
-    squares of values at most `peak` stays below n * peak**2.
+    A correlation does not change when one side is scaled. A difference of
+    two values at most `peak` is at most 2 * peak, so a magnitude is at most
+    2 * sqrt(2) * peak and a sum of n squared magnitudes below 8 * n * peak**2.
     """
-    peak = float(magnitudes.max(initial=0.0))
-    if not math.isfinite(peak) or magnitudes.size * peak * peak < np.finfo(np.float64).max:
-        return magnitudes
-    return magnitudes / peak
+    peak = float(np.max(np.abs(data)))
+    if 8.0 * data.size * peak * peak < np.finfo(np.float64).max:
+        return data
+    return data / peak
 
 
 def bg_change_rms(output: LatentField, source: LatentField, mask: Mask) -> float:

@@ -1,4 +1,4 @@
-"""Test-only references: two mixture posterior means, an evaluation counter, a metrics.txt reader."""
+"""Test-only references: a full-spectrum frequency split, two mixture posterior means, an evaluation counter, a metrics.txt reader."""
 
 from __future__ import annotations
 
@@ -10,6 +10,27 @@ from rcflow.engine import VelocityField
 from rcflow.errors import NumericError
 from rcflow.fields import MixtureDataset
 from rcflow.latent import LatentField
+
+
+def full_spectrum_split(x: LatentField, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """LOW and HIGH of x, each the inverse complex DFT of its own bins over the full spectrum.
+
+    Per axis of length n, bin k has normalized frequency min(k, n-k)/(n//2);
+    a length-1 axis contributes zero. Bins whose radial frequency is at most
+    rho times the largest go to LOW, the rest to HIGH. Reference for
+    freq_decompose's one real transform pair, which forms LOW as x - HIGH.
+    """
+
+    def axis_freq(n: int) -> np.ndarray:
+        k = np.arange(n)
+        return np.zeros(1) if n == 1 else np.minimum(k, n - k) / (n // 2)
+
+    radial = np.hypot(axis_freq(x.data.shape[2])[:, None], axis_freq(x.data.shape[3])[None, :])
+    low_bins = radial <= rho * radial.max()
+    spectrum = np.fft.fft2(x.data, axes=(-2, -1))
+    low = np.fft.ifft2(spectrum * low_bins, axes=(-2, -1)).real
+    high = np.fft.ifft2(spectrum * ~low_bins, axes=(-2, -1)).real
+    return low, high
 
 
 def oracle_posterior_mean(z: LatentField, t: float, data: MixtureDataset) -> LatentField:

@@ -204,6 +204,13 @@ class TestCommands:
         score = parse_metrics((tmp_path / "e" / "metrics.txt").read_text())["fg_structure_score"]
         assert -1.0 <= score <= 1.0
 
+    def test_structure_score_is_finite_where_gradients_overflow(self, tmp_path):
+        # the output spans -1e308 to 1e308, so its differences overflow unscaled
+        config = write_config(tmp_path, "tar.illum = -1e308 0 0 1e308\nhf_lambda = 0\n")
+        assert run("edit", config, tmp_path / "e") == 0
+        score = parse_metrics((tmp_path / "e" / "metrics.txt").read_text())["fg_structure_score"]
+        assert score == pytest.approx(0.773768558, abs=1e-9)
+
     def test_frames_span_a_range_that_overflows(self, tmp_path):
         text = "frames = 2\nsteps = 2\nfe_noise = fresh\nsrc.illum = 0 0 0 0\ntar.illum = -1e308 0 0 1e308\n"
         config = write_config(tmp_path, text)
@@ -231,6 +238,38 @@ class TestCommands:
         assert run(command, write_config(tmp_path, text), tmp_path / "o") == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric error: ") and "stepping to t=0.98" in err
+
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [
+            # (z0 - eps) - v_src overflows in the residual
+            ("edit", "field = constant\nconstant_value = -1e308\nsrc.illum = 0 0 0 1e308\nsteps = 5\nhf_lambda = 0\n",
+             "residual became non-finite at t=1"),
+            # v_tar + M * residual overflows in the edit step
+            ("equivalence", "src.illum = -1e308 0 0 1e308\nknots = 0 5e-324 1\n",
+             "edit latent became non-finite stepping to t=0"),
+        ],
+        ids=["residual", "edit-step"],
+    )
+    def test_overflowing_edit_velocity_names_its_stage(self, command, text, message, tmp_path, capsys):
+        assert run(command, write_config(tmp_path, text), tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            # gain + tilt * ramp overflows in the source render
+            ("edit", "src.illum = 1e308 1e308 1 1e308\nsteps = 5\n"),
+            # the gain is finite; mask * (pattern * gain) + ... overflows
+            ("generate", "tar.illum = 1e308 1e308 1 1e308\nheight = 1\nwidth = 1\nsteps = 2\n"),
+        ],
+        ids=["gain", "combine"],
+    )
+    def test_overflowing_render_is_a_numeric_error(self, command, text, tmp_path, capsys):
+        assert run(command, write_config(tmp_path, text), tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and "render" in err
 
     def test_sweep_r_equals_steps(self, tmp_path):
         text = BASE_CONFIG.replace("steps = 50", "steps = 10") + "sweep_r = 1,10\n"

@@ -19,6 +19,8 @@ from rcflow.latent import (
 )
 from rcflow.rng import standard_normal
 
+from reference import full_spectrum_split
+
 
 def field_from(values, shape):
     return LatentField(np.array(values, dtype=float).reshape(shape))
@@ -208,11 +210,11 @@ class TestHfTransfer:
 
 
 def reference_hf_transfer(z_edit, z_src, mask, hf_lambda, rho):
-    """LF(e) + lambda*M*HF(s) + (1 - lambda*M)*HF(e), straight from freq_decompose."""
-    edit_split = freq_decompose(z_edit, rho)
-    src_split = freq_decompose(z_src, rho)
+    """LF(e) + lambda*M*HF(s) + (1 - lambda*M)*HF(e), straight from the full-spectrum split."""
+    edit_low, edit_high = full_spectrum_split(z_edit, rho)
+    _, src_high = full_spectrum_split(z_src, rho)
     weight = hf_lambda * mask.data
-    return edit_split.low.data + weight * src_split.high.data + (1.0 - weight) * edit_split.high.data
+    return edit_low + weight * src_high + (1.0 - weight) * edit_high
 
 
 @st.composite
@@ -231,10 +233,22 @@ def transfer_cases(draw):
     return z_edit, z_src, mask, hf_lambda, rho
 
 
+class TestFreqDecomposeProperties:
+    @settings(deadline=None)
+    @given(transfer_cases())
+    def test_matches_full_spectrum_reference(self, case):
+        x, _, _, _, rho = case
+        split = freq_decompose(x, rho)
+        low, high = full_spectrum_split(x, rho)
+        bound = 1e-12 * (1.0 + x.max_abs())
+        assert np.max(np.abs(split.low.data - low)) <= bound
+        assert np.max(np.abs(split.high.data - high)) <= bound
+
+
 class TestHfTransferProperties:
     @settings(deadline=None)
     @given(transfer_cases())
-    def test_matches_freq_decompose_reference(self, case):
+    def test_matches_full_spectrum_reference(self, case):
         z_edit, z_src, mask, hf_lambda, rho = case
         out = hf_transfer(z_edit, z_src, mask, hf_lambda, rho)
         expected = reference_hf_transfer(z_edit, z_src, mask, hf_lambda, rho)
