@@ -29,8 +29,10 @@ from .engine import (
     checked_evaluate,
     euler_step,  # noqa: F401  unused here; perfbench/tracing.py rebinds it in this module
 )
-from .errors import NumericError, ShapeMismatchError
-from .latent import LatentField, Mask, hf_transfer, lerp_noise, rms
+from .errors import NumericError
+from .latent import (
+    LatentField, Mask, _require_mask_fits, _require_same_shape, _require_unit, hf_transfer, lerp_noise, rms
+)
 
 
 @dataclass(frozen=True)
@@ -56,10 +58,8 @@ class EditConfig:
             raise ValueError(
                 f"reuse_interval must lie in [1, {self.schedule.steps}], got {self.reuse_interval}"
             )
-        for name in ("hf_lambda", "hf_rho"):
-            value = float(getattr(self, name))
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        _require_unit(self.hf_lambda, "hf_lambda")
+        _require_unit(self.hf_rho, "hf_rho")
 
 
 @dataclass
@@ -118,12 +118,8 @@ def run_edit(
     Total evaluations: N target calls plus ceil(N/r) residual refreshes.
     on_step, when given, sees the edit latent at t=1 and after every step.
     """
-    if z0.data.shape != eps.data.shape:
-        raise ShapeMismatchError(f"run_edit: shapes {z0.data.shape} and {eps.data.shape} differ")
-    if not config.mask.broadcasts_over(z0):
-        raise ShapeMismatchError(
-            f"run_edit: mask {config.mask.data.shape} does not fit {z0.data.shape}"
-        )
+    _require_same_shape(z0, eps, "run_edit")
+    _require_mask_fits(config.mask, z0, "run_edit")
     steps = config.schedule.steps
     r = config.reuse_interval
     residual: LatentField | None = None

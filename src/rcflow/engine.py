@@ -14,17 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeMismatchError
-from .latent import LatentField, Shape
+from .latent import LatentField, Shape, _require_same_shape
 from .rng import standard_normal
 
 
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """Strictly increasing timestep knots t_0 = 0 < ... < t_N = 1."""
+    """Strictly increasing timestep knots t_0 = 0 < ... < t_N = 1, read-only."""
 
-    __slots__ = ("knots",)
+    knots: np.ndarray
 
-    def __init__(self, knots):
-        arr = np.ascontiguousarray(knots, dtype=np.float64)
+    def __post_init__(self):
+        arr = np.ascontiguousarray(self.knots, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("schedule needs at least two knots")
         if arr[0] != 0.0 or arr[-1] != 1.0:
@@ -34,17 +35,9 @@ class Schedule:
         arr.flags.writeable = False
         object.__setattr__(self, "knots", arr)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Schedule is immutable")
-
     @property
     def steps(self) -> int:
         return self.knots.size - 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Schedule):
-            return NotImplemented
-        return bool(np.array_equal(self.knots, other.knots))
 
     def __repr__(self) -> str:
         return f"Schedule(steps={self.steps})"
@@ -123,8 +116,7 @@ def euler_step(z: LatentField, t_hi: float, t_lo: float, v: LatentField) -> Late
     """One explicit Euler update z + (t_hi - t_lo) * v."""
     if not t_hi > t_lo:
         raise ValueError(f"step must move down in time, got {t_hi} -> {t_lo}")
-    if z.data.shape != v.data.shape:
-        raise ShapeMismatchError(f"euler_step: shapes {z.data.shape} and {v.data.shape} differ")
+    _require_same_shape(z, v, "euler_step")
     return LatentField(z.data + (t_hi - t_lo) * v.data)
 
 

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field as dc_field
+from dataclasses import InitVar, dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
 
 from .engine import ConditionBundle, VelocityField, sample_noise
 from .errors import NumericError, ShapeMismatchError
-from .latent import LatentField, Mask, Shape, freq_decompose
+from .latent import LatentField, Mask, Shape, _require_same_shape, freq_decompose
 from .rng import derive_seed, uniform_open
 
 AGNOSTIC_ARITY = 3  # (pattern_seed, blob_count, motion)
@@ -84,10 +84,10 @@ class ToyScene:
             dy = cy + motion * fi * np.sin(drift)
             dx = cx + motion * fi * np.cos(drift)
             for j in range(blob_count):
-                # a blob drifted out of float range is inf away, and exp(-inf) = 0 is right
+                # a blob drifted far out, even out of float range, is inf away: exp(-inf) = 0 is right
                 with np.errstate(over="ignore"):
                     d2 = (ys - dy[j]) ** 2 + (xs - dx[j]) ** 2
-                frames[fi] += amp[j] * np.exp(-d2 / (2.0 * sigma[j] ** 2))
+                    frames[fi] += amp[j] * np.exp(-d2 / (2.0 * sigma[j] ** 2))
         return np.broadcast_to(frames[:, None, :, :], (f, c, h, w)).copy()
 
     def gain_field(self, illum_params: tuple[float, ...]) -> np.ndarray:
@@ -135,7 +135,6 @@ def render_target(scene: ToyScene, c: ConditionBundle) -> LatentField:
             raise ShapeMismatchError(
                 f"reference_frame {ref.shape} does not match scene frames {rendered.shape}"
             )
-        rendered = rendered.copy()
         rendered[0] = ref[0]
     try:
         return LatentField(rendered)
@@ -143,44 +142,46 @@ def render_target(scene: ToyScene, c: ConditionBundle) -> LatentField:
         raise NumericError(f"scene render became non-finite under illum_params {c.illum_params}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureDataset:
-    """Weighted point-mass targets; weights are normalized on construction.
+    """Weighted point-mass targets, built from (weight, LatentField) pairs.
 
-    `points` (components x frames x channels x height x width) and `weights`
-    are stacked once, read-only; each component's field is a view into
-    `points`, so the points are held once. A single component is viewed, not
-    copied, and keeps its field. `center` (the mean point, flattened) and
-    `centered_sq_norms` (each ||p_k - center||^2) are computed on first use,
-    one component at a time, for the posterior mean's distances.
+    Holds only `points` (components x frames x channels x height x width)
+    and the normalized `weights`, each stacked once and read-only. A single
+    component's point is viewed, not copied. `center` (the mean point,
+    flattened) and `centered_sq_norms` (each ||p_k - center||^2) are
+    computed on first use, one component at a time, for the posterior
+    mean's distances.
     """
 
-    components: tuple[tuple[float, LatentField], ...]
-    points: np.ndarray = dc_field(init=False, repr=False, compare=False)
-    weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    components: InitVar[tuple[tuple[float, LatentField], ...]]
+    points: np.ndarray = dc_field(init=False, repr=False)
+    weights: np.ndarray = dc_field(init=False, repr=False)
 
-    def __post_init__(self):
-        if not self.components:
+    def __post_init__(self, components):
+        if not components:
             raise ValueError("mixture needs at least one component")
-        shapes = {point.data.shape for _, point in self.components}
+        shapes = {point.data.shape for _, point in components}
         if len(shapes) != 1:
             raise ShapeMismatchError(f"mixture components disagree on shape: {shapes}")
-        weights = np.array([float(w) for w, _ in self.components])
+        weights = np.array([float(w) for w, _ in components])
         if np.any(weights < 0.0):
             raise ValueError("mixture weights must be nonnegative")
-        total = float(weights.sum())
+        with np.errstate(over="ignore"):
+            total = float(weights.sum())
+        if total == np.inf:
+            # huge weights overflow their sum; relative to the largest they do not
+            weights = weights / weights.max()
+            total = float(weights.sum())
         if total <= 0.0:
             raise ValueError("mixture weights must not all be zero")
         weights = weights / total
-        fields = [point for _, point in self.components]
-        if len(fields) == 1:
-            points = fields[0].data[None]
+        if len(components) == 1:
+            points = components[0][1].data[None]
         else:
-            points = np.stack([point.data for point in fields])
-            fields = [LatentField(p) for p in points]
+            points = np.stack([point.data for _, point in components])
         weights.flags.writeable = False
         points.flags.writeable = False
-        object.__setattr__(self, "components", tuple(zip(weights.tolist(), fields)))
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
 
@@ -210,8 +211,7 @@ class _ConstantField(VelocityField):
         self.k = k
 
     def evaluate(self, z: LatentField, t: float, c: ConditionBundle) -> LatentField:
-        if z.data.shape != self.k.data.shape:
-            raise ShapeMismatchError(f"constant field is {self.k.data.shape}, latent is {z.data.shape}")
+        _require_same_shape(self.k, z, "constant field")
         return self.k
 
 
@@ -270,6 +270,10 @@ def _posterior_mean_stable(z: np.ndarray, t: float, data: MixtureDataset) -> np.
         exponents = np.log(data.weights) - d2 / (2.0 * t * t)
     peak = float(np.max(exponents))
     if not np.isfinite(peak):
+        if np.min(d2) == np.inf:
+            # scaled by one power of two at least every |value|, the distances rank without overflowing
+            e = np.frexp(max(np.max(np.abs(flat)), np.max(np.abs(z))))[1]
+            d2 = _sq_distances(np.ldexp(flat, -e), s, np.ldexp(z, -e))
         return data.points[int(np.argmin(d2))]
     shifted = np.exp(exponents - peak)
     return np.tensordot(shifted / shifted.sum(), data.points, axes=(0, 0))
@@ -326,8 +330,14 @@ def scene_mixture_field(scene: ToyScene, components: int, spread: float, seed: i
     def build_dataset(c: ConditionBundle) -> MixtureDataset:
         base = render_target(scene, c)
         members = [(1.0, base)]
-        for pattern in perturbations:
-            members.append((1.0, LatentField(base.data + spread * pattern)))
+        try:
+            # an overflow is inf, which LatentField reports as a NumericError
+            with np.errstate(over="ignore"):
+                for pattern in perturbations:
+                    members.append((1.0, LatentField(base.data + spread * pattern)))
+        except NumericError as exc:
+            where = f"illum_params {c.illum_params} and spread {spread}"
+            raise NumericError(f"scene mixture component {len(members)} became non-finite under {where}") from exc
         return MixtureDataset(tuple(members))
 
     return _MixtureField(_RenderCache(build_dataset).get)

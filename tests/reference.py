@@ -45,8 +45,8 @@ def oracle_posterior_mean(z: LatentField, t: float, data: MixtureDataset) -> Lat
     zl = z.data.astype(np.longdouble).reshape(-1)
     total = np.longdouble(0.0)
     accum = np.zeros_like(zl)
-    for weight, point in data.components:
-        pl = point.data.astype(np.longdouble).reshape(-1)
+    for weight, point in zip(data.weights, data.points):
+        pl = point.astype(np.longdouble).reshape(-1)
         diff = zl - (1.0 - np.longdouble(t)) * pl
         w = np.longdouble(weight) * np.exp(-(diff @ diff) / (2.0 * np.longdouble(t) ** 2))
         total += w

@@ -6,7 +6,8 @@ process. It then runs four desk-size commands on the point field and a
 `generate` on a scene mixture, and checks that the traced calls still
 happen where tracing rebinds them: a loop that called `euler_step` by a
 name tracing does not rebind would count 0. The noise, render, split and
-FFT counts also pin what each command computes once.
+FFT counts also pin what each command computes once, and the mixture's
+field count pins that a dataset holds its components only in its stack.
 """
 
 import json
@@ -45,6 +46,7 @@ for name, command, config in runs:
         "sample_noise": names.count("engine.sample_noise"),
         "render_target": names.count("fields.render_target"),
         "freq_decompose": names.count("latent.freq_decompose"),
+        "latent_fields": names.count("latent.LatentField"),
         "fft_transforms": tracer.counts["latent.fft.transforms"] - transforms,
     }
 print(json.dumps(counts))
@@ -76,3 +78,5 @@ def test_benchmark_hooks_resolve(tmp_path):
     # each perturbation through fields' freq_decompose with one real transform pair
     mixture = counts["generate-mixture"]
     assert (mixture["freq_decompose"], mixture["sample_noise"], mixture["fft_transforms"]) == (2, 3, 4)
+    # its dataset stacks the components without building a field per row
+    assert mixture["latent_fields"] == 50

@@ -1,7 +1,13 @@
+import contextlib
+import io
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcflow import config as cfgmod
 from rcflow.cli import main
@@ -224,6 +230,22 @@ class TestCommands:
         # motion 1e200 drifts every blob past frame 0 out of float range
         text = "frames = 3\nsteps = 5\nsrc.agnostic = 5 3 1e200\ntar.agnostic = 5 3 1e200\n"
         assert run(command, write_config(tmp_path, text), tmp_path / "o") == 0
+
+    def test_blob_far_past_its_width_runs_without_warnings(self, tmp_path):
+        # motion 1e154 keeps each squared blob distance finite; dividing by 2 sigma^2 overflows
+        text = "tar.agnostic = 1 4 1e154\nheight = 2\nwidth = 2\nsteps = 2\n"
+        assert run("generate", write_config(tmp_path, text), tmp_path / "o") == 0
+
+    @pytest.mark.parametrize("command", ["generate", "edit"])
+    def test_overflowing_mixture_component_names_its_stage(self, command, tmp_path, capsys):
+        # the render is finite; render + spread * perturbation is not
+        text = (
+            "field = mixture\nmixture.spread = 1.7e308\nsrc.illum = 1 0 0 1.7e308\n"
+            "tar.illum = 1 0 0 1.7e308\nsteps = 5\nhf_lambda = 0\n"
+        )
+        assert run(command, write_config(tmp_path, text), tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and "scene mixture component 1" in err and "spread" in err
 
     @pytest.mark.parametrize("command", ["edit", "sweep-reuse"])
     def test_subnormal_knot_is_a_numeric_error(self, command, tmp_path, capsys):
@@ -483,6 +505,18 @@ class TestCliContract:
         assert err.startswith(f"config error: key '{key}': ") and "must be <= " in err
         assert not (tmp_path / "big").exists()
 
+    def test_all_zero_component_weights_are_config_error(self, tmp_path, capsys):
+        text = "field = mixture\ncomponent.0.weight = 0\ncomponent.0.value = 1\nsteps = 2\n"
+        assert run("generate", write_config(tmp_path, text), tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err == "config error: key 'component.*': mixture weights must not all be zero\n"
+
+    def test_mask_with_too_few_frames_is_config_error(self, tmp_path, capsys):
+        write_stack(tmp_path / "m.fps", LatentField.zeros(Shape(1, 1, 4, 4)))
+        config = write_config(tmp_path, BASE_CONFIG.replace("mask = scene", "mask = m.fps"))
+        assert run("edit", config, tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith("config error: key 'mask': cannot pool ")
+
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch):
         from rcflow import cli
         from rcflow.errors import NumericError
@@ -501,3 +535,86 @@ class TestCliContract:
         loaded = read_stack(tmp_path / "cf" / "output.fps")
         expected = sample_noise(4, Shape(2, 1, 16, 16)).data + 0.75
         assert np.max(np.abs(loaded.data - expected)) <= 1e-6 * (1 + np.max(np.abs(expected)))
+
+
+# values for each drawn key: ordinary ones, extremes, and some out of range
+FUZZ_VALUES = {
+    "seed": ["0", "7", "18446744073709551615"],
+    "frames": ["1", "2", "3"],
+    "channels": ["1", "2"],
+    "height": ["1", "2", "5", "8"],
+    "width": ["1", "2", "5", "8"],
+    "reuse_interval": ["1", "2", "3", "0"],
+    "hf_lambda": ["0", "0.5", "1", "5e-324", "2"],
+    "hf_rho": ["0", "0.8", "1", "1e-300"],
+    "mask": ["scene", "ones", "zeros"],
+    "field": ["constant", "point", "mixture"],
+    "constant_value": ["0", "1e-300", "1.7e308", "-1.7e308"],
+    "scene.mask_threshold": ["0.3", "5e-324", "0.999"],
+    "mixture.components": ["1", "2", "4"],
+    "mixture.spread": ["0", "0.25", "1e154", "1.7e308"],
+    "mixture.seed": ["1", "-3"],
+    "src.illum": [
+        "1 0 0 0.2", "1.7e308 0 0 -1.7e308", "-1.7e308 1.7e308 3 1.7e308", "5e-324 1e-300 0 5e-324", "1e300 1e300 3 1e300"
+    ],
+    "tar.illum": [
+        "2 0.3 0.8 0.6", "-1.7e308 0 0 1.7e308", "1 0 0 1.7e308", "1e-300 0 0 5e-324", "1e300 -1e300 1 1e300"
+    ],
+    "src.agnostic": ["5 3 0.5", "1 4 1e154", "5 3 1e200", "2 1 -1.7e308", "0 1 5e-324"],
+    "tar.agnostic": ["5 3 0.5", "1 4 1e154", "5 3 -1e200", "2 2 1.7e308", "3 1 1e-300"],
+    "equiv_tol": ["0", "1e-6", "1.7e308"],
+    "identity_tol": ["0", "1e-5"],
+    "fe_noise": ["fixed", "fresh"],
+    "fe_navg": ["1", "2"],
+    "sweep_r": ["1", "1 2", "1, 2, 5"],
+}
+FUZZ_SCHEDULES = [
+    "steps = 1", "steps = 2", "steps = 5", "knots = 0 5e-324 1", "knots = 0 1e-300 1", "knots = 0 0.5 1"
+]
+FUZZ_WEIGHTS = ["0", "0.5", "1", "5e-324", "1.7e308"]
+FUZZ_POINTS = ["0", "1", "1e-300", "1e300", "-1.7e308"]
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A desk-size config of up to 10 drawn keys, a schedule, and up to 3 explicit components."""
+    keys = draw(st.lists(st.sampled_from(sorted(FUZZ_VALUES)), max_size=10, unique=True))
+    entries = {key: draw(st.sampled_from(FUZZ_VALUES[key])) for key in keys}
+    lines = [draw(st.sampled_from(FUZZ_SCHEDULES))]
+    components = draw(st.integers(0, 3))
+    if components:
+        entries["field"] = "mixture"
+    for index in range(components):
+        entries[f"component.{index}.weight"] = draw(st.sampled_from(FUZZ_WEIGHTS))
+        entries[f"component.{index}.value"] = draw(st.sampled_from(FUZZ_POINTS))
+    lines += [f"{key} = {value}" for key, value in entries.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _numbers(text: str) -> list[float]:
+    """Every token of a key=value or space-separated output file that parses as a number."""
+    numbers = []
+    for token in text.replace("=", " ").split():
+        with contextlib.suppress(ValueError):
+            numbers.append(float(token))
+    return numbers
+
+
+# pytest's filterwarnings = ["error"] fails any example on a numpy warning
+@settings(deadline=None, max_examples=50)
+@given(text=fuzz_configs(), command=st.sampled_from(["generate", "edit", "flowedit", "equivalence", "sweep-reuse"]))
+def test_any_config_exits_by_the_contract(text, command):
+    with tempfile.TemporaryDirectory() as work:
+        config = Path(work) / "fuzz.cfg"
+        config.write_text(text)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = run(command, config, Path(work) / "out")
+        assert code in (0, 2, 3, 4)
+        if code in (2, 3):
+            assert stderr.getvalue().startswith(("config error:", "numeric error:"))
+        else:
+            for name in ("metrics.txt", "sweep.txt", "equivalence.txt"):
+                path = Path(work) / "out" / name
+                if path.exists():
+                    assert all(math.isfinite(v) for v in _numbers(path.read_text()))

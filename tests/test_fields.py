@@ -183,6 +183,8 @@ class TestMixtureField:
     def test_single_component_matches_point_behavior(self):
         x = sample_noise(11, SHAPE)
         data = MixtureDataset(((1.0, x),))
+        # one component is viewed, not copied
+        assert np.shares_memory(data.points, x.data)
         z = sample_noise(12, SHAPE)
         v = mixture_field(data).evaluate(z, 0.6, bundle((1.0, 0.0, 0.0, 0.2)))
         assert_allclose(v.data, (x.data - z.data) / 0.6, atol=1e-12)
@@ -230,6 +232,16 @@ class TestMixtureField:
         v = mixture_field(data).evaluate(z, 1e-8, bundle((1.0, 0.0, 0.0, 0.2)))
         assert_allclose(v.data, (near.data - z.data) / 1e-8, rtol=1e-9)
 
+    def test_fallback_ranks_distances_that_overflow(self):
+        # both distances overflow; the stack and latent scaled by one power of two still rank them
+        shape = Shape(1, 1, 4, 4)
+        data = MixtureDataset(((0.5, LatentField.zeros(shape)), (0.5, LatentField.full(shape, 1e300))))
+        z = LatentField.full(shape, 1e300)
+        v = mixture_field(data).evaluate(z, 0.5, bundle((1.0, 0.0, 0.0, 0.2)))
+        expected = (direct_posterior_mean(z, 0.5, data).data - z.data) / 0.5
+        assert_array_equal(v.data, expected)
+        assert_array_equal(v.data, 0.0)
+
     def test_oracle_underflow_raises(self):
         near = LatentField.zeros(Shape(1, 1, 4, 4))
         data = MixtureDataset(((1.0, near),))
@@ -243,10 +255,8 @@ class TestMixtureField:
         assert not data.points.flags.writeable
         assert not data.weights.flags.writeable
         assert_allclose(data.weights, [0.5, 0.3, 0.2], rtol=1e-15)
-        for (weight, point), row, stacked_weight in zip(data.components, data.points, data.weights):
-            assert np.shares_memory(point.data, data.points)
-            assert point.data.tobytes() == row.tobytes()
-            assert weight == stacked_weight
+        # the (weight, field) pairs it was built from are not kept
+        assert not hasattr(data, "components")
 
     def test_weights_validated(self):
         x = sample_noise(25, SHAPE)
@@ -254,6 +264,12 @@ class TestMixtureField:
             MixtureDataset(((-0.5, x), (1.5, x)))
         with pytest.raises(ValueError):
             MixtureDataset(())
+
+    def test_huge_weights_normalize(self):
+        # their sum overflows; they are normalized relative to the largest
+        x = sample_noise(26, SHAPE)
+        data = MixtureDataset(((1.7e308, x), (1.7e308, x), (0.85e308, x)))
+        assert_array_equal(data.weights, [0.4, 0.4, 0.2])
 
     def test_center_and_centered_norms(self):
         data = three_component_dataset()
