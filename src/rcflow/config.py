@@ -250,7 +250,7 @@ def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) ->
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     entries = parse_config_text(text, source=str(path))
     entries.update(overrides or {})

@@ -25,7 +25,8 @@ class Schedule:
     knots: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.knots, dtype=np.float64)
+        # a fresh copy, so the caller's array stays writable; + 0.0 maps a -0 knot to 0
+        arr = np.ascontiguousarray(self.knots, dtype=np.float64) + 0.0
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("schedule needs at least two knots")
         if arr[0] != 0.0 or arr[-1] != 1.0:

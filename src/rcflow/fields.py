@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field as dc_field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -101,11 +101,6 @@ class ToyScene:
         ramp = proj / peak if peak > 0.0 else np.zeros((h, w))
         return gain + tilt * ramp
 
-    def background(self, illum_params: tuple[float, ...]) -> np.ndarray:
-        _check_arity(illum_params, ILLUM_ARITY, "illum_params")
-        level = float(illum_params[3])
-        return np.full((self.shape.height, self.shape.width), level)
-
     def true_mask(self, agnostic_params: tuple[float, ...]) -> Mask:
         return self._footprint(self.structure(agnostic_params))
 
@@ -128,7 +123,7 @@ def render_target(scene: ToyScene, c: ConditionBundle) -> LatentField:
     # an overflow gives inf or nan, reported below as a NumericError naming the render
     with np.errstate(over="ignore", invalid="ignore"):
         gain = scene.gain_field(c.illum_params)
-        rendered = mask * (pattern * gain) + (1.0 - mask) * scene.background(c.illum_params)
+        rendered = mask * (pattern * gain) + (1.0 - mask) * float(c.illum_params[3])
     if c.reference_frame is not None:
         ref = c.reference_frame.data
         if ref.shape[1:] != rendered.shape[1:]:
@@ -219,22 +214,6 @@ def constant_field(k: LatentField) -> VelocityField:
     return _ConstantField(k)
 
 
-class _RenderCache:
-    """Append-only (bundle, value) cache; safe to rebuild concurrently."""
-
-    def __init__(self, build):
-        self._build = build
-        self._entries: list[tuple[ConditionBundle, object]] = []
-
-    def get(self, c: ConditionBundle):
-        for bundle, value in self._entries:
-            if bundle == c:
-                return value
-        value = self._build(c)
-        self._entries.append((c, value))
-        return value
-
-
 def _sq_distances(flat: np.ndarray, s: float, z: np.ndarray) -> np.ndarray:
     """||s * p_k - z||^2 for every row p_k of `flat`, inf where it overflows."""
     with np.errstate(over="ignore"):
@@ -320,7 +299,8 @@ def scene_mixture_field(scene: ToyScene, components: int, spread: float, seed: i
 
     Component 0 is the exact render; the rest add fixed smooth perturbations
     at `spread` amplitude. The perturbations are keyed by index only, so
-    source and target datasets wander in parallel.
+    source and target datasets wander in parallel. Each distinct bundle's
+    dataset is built once and kept.
     """
     if components < 1:
         raise ValueError("components must be >= 1")
@@ -340,7 +320,7 @@ def scene_mixture_field(scene: ToyScene, components: int, spread: float, seed: i
             raise NumericError(f"scene mixture component {len(members)} became non-finite under {where}") from exc
         return MixtureDataset(tuple(members))
 
-    return _MixtureField(_RenderCache(build_dataset).get)
+    return _MixtureField(cache(build_dataset))
 
 
 def point_field(scene: ToyScene) -> VelocityField:

@@ -54,8 +54,9 @@ def _as_field_array(data: np.ndarray | list, *, what: str = "field") -> np.ndarr
 class _FrozenStack:
     """Plumbing LatentField and Mask share: one read-only 4-axis array, immutable.
 
-    Equality and hashing go by shape and values, within one class only, so
-    a Mask never equals a LatentField holding the same values.
+    Equality goes by shape and values, within one class only, so a Mask
+    never equals a LatentField holding the same values. The hash takes the
+    shape alone: it agrees with equality and never reads the values.
     """
 
     __slots__ = ("data",)
@@ -74,7 +75,7 @@ class _FrozenStack:
         return self.data.shape == other.data.shape and bool(np.array_equal(self.data, other.data))
 
     def __hash__(self):
-        return hash((self.data.shape, self.data.tobytes()))
+        return hash(self.data.shape)
 
     def __repr__(self) -> str:
         f, c, h, w = self.data.shape

@@ -125,6 +125,13 @@ class TestCommands:
         assert run("equivalence", config, tmp_path / "qf") == 4
         assert "passed=false" in (tmp_path / "qf" / "equivalence.txt").read_text()
 
+    def test_negative_zero_first_knot_reports_t_zero(self, tmp_path):
+        text = BASE_CONFIG.replace("steps = 50", "knots = -0 0.5 1")
+        text = text.replace("reuse_interval = 10", "reuse_interval = 1")
+        assert run("equivalence", write_config(tmp_path, text), tmp_path / "q") == 0
+        last = (tmp_path / "q" / "equivalence.txt").read_text().splitlines()[-1]
+        assert last.startswith("step t=0 deviation=")
+
     def test_sweep_reuse_table(self, tmp_path):
         config = write_config(tmp_path)
         assert run("sweep-reuse", config, tmp_path / "s") == 0
@@ -332,6 +339,14 @@ class TestCliContract:
     def test_missing_config_exit_code(self, tmp_path):
         assert run("generate", tmp_path / "missing.cfg", tmp_path / "x") == 2
 
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "latin.cfg"
+        config.write_bytes(b"seed = 7\n# \xff\n")
+        assert run("generate", config, tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {config}: ") and "utf-8" in err
+        assert not (tmp_path / "x").exists()
+
     def test_flag_overrides(self, tmp_path):
         config = write_config(tmp_path)
         assert run("edit", config, tmp_path / "o", "--r", "5", "--seed", "9") == 0
@@ -515,7 +530,17 @@ class TestCliContract:
         write_stack(tmp_path / "m.fps", LatentField.zeros(Shape(1, 1, 4, 4)))
         config = write_config(tmp_path, BASE_CONFIG.replace("mask = scene", "mask = m.fps"))
         assert run("edit", config, tmp_path / "o") == 2
-        assert capsys.readouterr().err.startswith("config error: key 'mask': cannot pool ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: key 'mask': cannot pool ")
+        assert "incompatible frame count: 1 -> 2" in err
+
+    def test_mask_coarser_than_latent_is_config_error(self, tmp_path, capsys):
+        write_stack(tmp_path / "m.fps", LatentField.zeros(Shape(2, 1, 8, 8)))
+        config = write_config(tmp_path, BASE_CONFIG.replace("mask = scene", "mask = m.fps"))
+        assert run("edit", config, tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: key 'mask': cannot pool ")
+        assert "cannot pool 8 cells up to 16" in err
 
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch):
         from rcflow import cli

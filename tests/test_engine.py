@@ -56,6 +56,21 @@ class TestSchedule:
         sched = Schedule([0.0, 0.05, 0.3, 0.31, 1.0])
         assert sched.steps == 4
 
+    def test_negative_zero_first_knot_is_stored_as_zero(self):
+        knots = Schedule([-0.0, 0.5, 1.0]).knots
+        assert not np.signbit(knots[0])
+        assert knots.tolist() == [0.0, 0.5, 1.0]
+
+    def test_callers_knots_are_copied_and_stay_writable(self):
+        knots = np.array([0.0, 0.1, 0.7, 1.0])
+        sched = Schedule(knots)
+        assert knots.flags.writeable and not sched.knots.flags.writeable
+        knots[1] = 0.2
+        assert sched.knots.tolist() == [0.0, 0.1, 0.7, 1.0]
+
+    def test_repr_gives_the_step_count(self):
+        assert repr(make_uniform_schedule(7)) == "Schedule(steps=7)"
+
 
 class TestSampleNoise:
     def test_bit_identical_for_same_inputs(self):

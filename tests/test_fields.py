@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
+import rcflow.fields as fields
 from rcflow.edit import consistency_residual
 from rcflow.engine import ConditionBundle, generate, make_uniform_schedule, sample_noise
-from rcflow.errors import NumericError
+from rcflow.errors import NumericError, ShapeMismatchError
 from rcflow.fields import (
     STRUCTURAL_WEIGHT,
     MixtureDataset,
@@ -350,6 +352,84 @@ class TestSceneMixtureField:
         z = sample_noise(28, SHAPE)
         expected = point_field(scene).evaluate(z, 0.8, c)
         assert_allclose(field.evaluate(z, 0.8, c).data, expected.data, atol=1e-12)
+
+    def test_each_distinct_bundle_builds_one_dataset(self, monkeypatch):
+        renders, datasets = [], []
+        render, posterior_mean = fields.render_target, fields._posterior_mean_stable
+
+        def counting_render(scene, c):
+            renders.append(c)
+            return render(scene, c)
+
+        def recording_mean(z, t, data):
+            datasets.append(data)
+            return posterior_mean(z, t, data)
+
+        monkeypatch.setattr(fields, "render_target", counting_render)
+        monkeypatch.setattr(fields, "_posterior_mean_stable", recording_mean)
+        field = scene_mixture_field(ToyScene(SHAPE), components=2, spread=0.25, seed=1)
+        z = sample_noise(33, SHAPE)
+        structural = sample_noise(34, SHAPE)
+        c = bundle((1.0, 0.0, 0.0, 0.2), structural=structural)
+        twin = bundle((1.0, 0.0, 0.0, 0.2), structural=LatentField(structural.data.copy()))
+        assert twin == c and twin is not c
+        field.evaluate(z, 0.5, c)
+        field.evaluate(z, 0.4, twin)
+        assert len(renders) == 1 and datasets[1] is datasets[0]
+        field.evaluate(z, 0.5, bundle((2.0, 0.3, 0.8, 0.6), structural=structural))
+        assert len(renders) == 2 and datasets[2] is not datasets[0]
+
+
+def test_bundle_hash_does_not_copy_its_stacks():
+    c = bundle((1.0, 0.0, 0.0, 0.2), structural=sample_noise(35, Shape(2, 1, 256, 256)))
+    tracemalloc.start()
+    try:
+        hash(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+ONE_FRAME = Shape(1, 1, 16, 16)
+
+
+def render_under(**kwargs):
+    return render_target(ToyScene(SHAPE), bundle((1.0, 0.0, 0.0, 0.2), **kwargs))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (
+            lambda: render_under(structural=sample_noise(36, Shape(2, 1, 8, 8))),
+            ShapeMismatchError,
+            "structural field (2, 1, 8, 8) does not match scene (2, 1, 16, 16)",
+        ),
+        (
+            lambda: render_under(reference_frame=sample_noise(37, Shape(1, 1, 8, 8))),
+            ShapeMismatchError,
+            "reference_frame (1, 1, 8, 8) does not match scene frames (2, 1, 16, 16)",
+        ),
+        (
+            lambda: MixtureDataset(((1.0, sample_noise(38, SHAPE)), (1.0, sample_noise(39, ONE_FRAME)))),
+            ShapeMismatchError,
+            "mixture components disagree on shape",
+        ),
+        (
+            lambda: point_field(ToyScene(SHAPE)).evaluate(
+                sample_noise(40, ONE_FRAME), 0.5, bundle((1.0, 0.0, 0.0, 0.2))
+            ),
+            ShapeMismatchError,
+            "mixture components are (2, 1, 16, 16), latent is (1, 1, 16, 16)",
+        ),
+        (lambda: scene_mixture_field(ToyScene(SHAPE), 0, 0.25, 1), ValueError, "components must be >= 1"),
+    ],
+)
+def test_input_checks_name_their_cause(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert message in str(info.value)
 
 
 def test_oracle_single_component_returns_it():

@@ -183,3 +183,24 @@ class TestEquivalence:
         lines = report.to_lines()
         assert lines[0].startswith("tol=")
         assert sum(1 for line in lines if line.startswith("step ")) == 6
+
+
+def check_equivalence_within(tol):
+    field = constant_field(sample_noise(8, SHAPE))
+    return equivalence_check(field, sample_noise(9, SHAPE), SRC, TAR, make_uniform_schedule(2), 1, tol)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda: FlowEditConfig(make_uniform_schedule(2), NoiseMode.FRESH_PER_STEP, n_avg=0),
+            "n_avg must be >= 1, got 0",
+        ),
+        (lambda: check_equivalence_within(-1e-9), "tol must be >= 0, got -1e-09"),
+    ],
+)
+def test_input_checks_name_their_cause(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert message in str(info.value)

@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
+from rcflow.edit import EditConfig, run_edit
+from rcflow.engine import ConditionBundle, make_uniform_schedule
 from rcflow.errors import NumericError, ShapeMismatchError
+from rcflow.fields import constant_field
 from rcflow.latent import (
     LatentField,
     Mask,
@@ -318,3 +321,24 @@ def test_rms_matches_the_plain_formula_where_squares_fit(data):
 def test_rms_stays_finite_where_squares_overflow(scale):
     data = np.array([scale, -scale, 0.5 * scale, 0.0])
     assert rms(data) == pytest.approx(0.75 * scale)
+
+
+def _edit_with_a_misfit_mask(z, mask):
+    config = EditConfig(make_uniform_schedule(2), mask, reuse_interval=1)
+    run_edit(constant_field(z), z, ConditionBundle(), ConditionBundle(), z, config)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda z, m: LatentField(np.zeros((2, 0, 8, 8))), "field has an empty axis: (2, 0, 8, 8)"),
+        (lambda z, m: hf_transfer(z, z, m, 0.5, 0.5), "hf_transfer: mask (2, 1, 4, 4) does not broadcast"),
+        (_edit_with_a_misfit_mask, "run_edit: mask (2, 1, 4, 4) does not broadcast"),
+        (lambda z, m: downsample_mask(m, Shape(2, 1, 8, 8)), "cannot pool 4 cells up to 8"),
+    ],
+)
+def test_shape_checks_name_their_cause(call, message):
+    z = random_field(3, (2, 1, 8, 8))
+    with pytest.raises(ShapeMismatchError) as info:
+        call(z, Mask.ones(Shape(2, 1, 4, 4)))
+    assert message in str(info.value)

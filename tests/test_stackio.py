@@ -249,3 +249,9 @@ def test_export_frames_shares_one_range(tmp_path):
     second = (tmp_path / "frame_0001.pgm").read_bytes()
     assert np.frombuffer(first.split(b"255\n", 1)[1], dtype=np.uint8).max() == 0
     assert np.frombuffer(second.split(b"255\n", 1)[1], dtype=np.uint8).min() == 255
+
+
+def test_write_pgm_names_a_frame_with_too_many_axes(tmp_path):
+    with pytest.raises(ValueError, match=r"frame must be 2D, got 3 axes"):
+        write_pgm(tmp_path / "frame.pgm", np.zeros((1, 4, 4)), 0.0, 1.0)
+    assert not (tmp_path / "frame.pgm").exists()
