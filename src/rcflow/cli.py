@@ -53,13 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Residual-corrected flow editing experiments on analytic velocity fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("generate", "sample the target condition from noise"),
-        ("edit", "residual-corrected edit of the input toward the target condition"),
-        ("flowedit", "reference inversion-free edit starting from the input"),
-        ("equivalence", "check fixed-noise flowedit against the residual-corrected run"),
-        ("sweep-reuse", "edit with each residual-reuse interval and tabulate the gaps"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="experiment config file")
         for flag, key, flag_help in _FLAGS:
@@ -161,7 +155,17 @@ def cmd_equivalence(setup: _Setup, out: Path) -> int:
     report = equivalence_check(
         setup.velocity, setup.z0, setup.src, setup.tar, setup.schedule, cfg.seed, cfg.equiv_tol
     )
-    write_text(out / "equivalence.txt", "\n".join(report.to_lines()) + "\n")
+    summary = key_values(
+        tol=report.tol,
+        passed=report.passed,
+        max_deviation=report.max_deviation,
+        flowedit_nfe=report.flowedit_nfe,
+        edit_nfe=report.edit_nfe,
+    )
+    steps = "".join(
+        f"step t={t:.9g} deviation={dev:.9g}\n" for t, dev in zip(report.timesteps, report.deviations)
+    )
+    write_text(out / "equivalence.txt", summary + steps)
     print(
         f"equivalence: max_deviation={report.max_deviation:.3g} tol={report.tol:.3g} "
         f"passed={str(report.passed).lower()}"
@@ -170,28 +174,31 @@ def cmd_equivalence(setup: _Setup, out: Path) -> int:
 
 
 def cmd_sweep_reuse(setup: _Setup, out: Path) -> int:
-    reports = {r: setup.edit(reuse_interval=r) for r in dict.fromkeys((1, *setup.cfg.sweep_r))}
-    baseline = reports[1].output
+    baseline = setup.edit(reuse_interval=1)
+    rows = {}
+    for r in dict.fromkeys(setup.cfg.sweep_r):
+        report = baseline if r == 1 else setup.edit(reuse_interval=r)
+        rows[r] = f"{r} {report.nfe} {rms_gap(report.output, baseline.output):.9g}"
+        if setup.identity_run:
+            rows[r] += f" {rel_error(report.output, setup.z0):.9g}"
+        # dropped before the next edit starts, so one output is held besides the baseline
+        del report
 
     header = "r nfe reuse_gap" + (" identity_error" if setup.identity_run else "")
-    lines = [header]
-    for r in setup.cfg.sweep_r:
-        row = f"{r} {reports[r].nfe} {rms_gap(reports[r].output, baseline):.9g}"
-        if setup.identity_run:
-            row += f" {rel_error(reports[r].output, setup.z0):.9g}"
-        lines.append(row)
+    lines = [header, *(rows[r] for r in setup.cfg.sweep_r)]
     write_text(out / "sweep.txt", "\n".join(lines) + "\n")
     for line in lines:
         print(line)
     return EXIT_OK
 
 
+# name: (command, help)
 _COMMANDS = {
-    "generate": cmd_generate,
-    "edit": cmd_edit,
-    "flowedit": cmd_flowedit,
-    "equivalence": cmd_equivalence,
-    "sweep-reuse": cmd_sweep_reuse,
+    "generate": (cmd_generate, "sample the target condition from noise"),
+    "edit": (cmd_edit, "residual-corrected edit of the input toward the target condition"),
+    "flowedit": (cmd_flowedit, "reference inversion-free edit starting from the input"),
+    "equivalence": (cmd_equivalence, "check fixed-noise flowedit against the residual-corrected run"),
+    "sweep-reuse": (cmd_sweep_reuse, "edit with each residual-reuse interval and tabulate the gaps"),
 }
 
 
@@ -202,7 +209,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = cfgmod.load_config(args.config, overrides)
         out = _out_dir(cfg)
-        code = _COMMANDS[args.command](_Setup(cfg), out)
+        command, _ = _COMMANDS[args.command]
+        code = command(_Setup(cfg), out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -130,15 +130,6 @@ class EquivalenceReport:
     def max_deviation(self) -> float:
         return max(self.deviations)
 
-    def to_lines(self) -> list[str]:
-        lines = [f"tol={self.tol:.9g}", f"passed={str(self.passed).lower()}"]
-        lines.append(f"max_deviation={self.max_deviation:.9g}")
-        lines.append(f"flowedit_nfe={self.flowedit_nfe}")
-        lines.append(f"edit_nfe={self.edit_nfe}")
-        for t, dev in zip(self.timesteps, self.deviations):
-            lines.append(f"step t={t:.9g} deviation={dev:.9g}")
-        return lines
-
 
 def equivalence_check(
     field: VelocityField,

@@ -1,4 +1,4 @@
-"""Dense 4-axis latent fields, masks, elementwise algebra, and frequency splitting.
+"""Dense 4-axis latent fields and masks, lerp_noise, mask pooling, and frequency splitting.
 
 A latent stack is laid out (frames, channels, height, width) in row-major
 order, float64 throughout. Every public operation returns a new immutable
@@ -251,8 +251,6 @@ def _pool_weights(src: int, dst: int) -> np.ndarray:
     """Row-stochastic (dst, src) area-overlap matrix for 1D average pooling."""
     if dst > src:
         raise ShapeMismatchError(f"cannot pool {src} cells up to {dst}")
-    if dst == src:
-        return np.eye(src)
     step = src / dst
     lo = np.arange(dst)[:, None] * step
     hi = lo + step
@@ -265,15 +263,16 @@ def downsample_mask(mask: Mask, target: Shape) -> Mask:
     """Area-average a mask down to target frames/height/width.
 
     Fractional source/target ratios pool with partial-cell weights; exact
-    divisors reduce to plain block means. Values stay in [0, 1].
+    divisors reduce to plain block means. Values stay in [0, 1]. Frames,
+    rows and columns are pooled one axis at a time: one contraction over all
+    three would loop over every (source cell, target cell) pair.
     """
     f, _, h, w = mask.data.shape
     if target.frames > f:
         raise ShapeMismatchError(f"incompatible frame count: {f} -> {target.frames}")
-    pf = _pool_weights(f, target.frames)
-    ph = _pool_weights(h, target.height)
-    pw = _pool_weights(w, target.width)
-    pooled = np.einsum("af,bh,cw,fzhw->azbc", pf, ph, pw, mask.data)
+    pooled = np.einsum("af,fzhw->azhw", _pool_weights(f, target.frames), mask.data)
+    pooled = np.einsum("bh,azhw->azbw", _pool_weights(h, target.height), pooled)
+    pooled = np.einsum("cw,azbw->azbc", _pool_weights(w, target.width), pooled)
     return Mask(np.clip(pooled, 0.0, 1.0))
 
 

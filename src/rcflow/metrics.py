@@ -65,14 +65,14 @@ def rms_gap(a: LatentField, b: LatentField) -> float:
     return rms(a.data - b.data)
 
 
-def key_values(**values: float | None) -> str:
+def key_values(**values: float | bool | None) -> str:
     """Machine-readable run summary: one key=value line per value, in the order given.
 
-    Integers are written as they are, other numbers to 9 significant digits;
-    a None value is left out.
+    Integers are written as they are and booleans (integers too) as true or
+    false, other numbers to 9 significant digits; a None value is left out.
     """
     return "".join(
-        f"{key}={value}\n" if isinstance(value, int) else f"{key}={value:.9g}\n"
+        f"{key}={str(value).lower()}\n" if isinstance(value, int) else f"{key}={value:.9g}\n"
         for key, value in values.items()
         if value is not None
     )

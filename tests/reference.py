@@ -1,4 +1,4 @@
-"""Test-only references: a full-spectrum frequency split, two mixture posterior means, an evaluation counter, a metrics.txt reader."""
+"""Test-only references: a full-spectrum frequency split, exact area pooling, two mixture posterior means, an evaluation counter, a metrics.txt reader."""
 
 from __future__ import annotations
 
@@ -31,6 +31,40 @@ def full_spectrum_split(x: LatentField, rho: float) -> tuple[np.ndarray, np.ndar
     low = np.fft.ifft2(spectrum * low_bins, axes=(-2, -1)).real
     high = np.fft.ifft2(spectrum * ~low_bins, axes=(-2, -1)).real
     return low, high
+
+
+def exact_area_pool(values: np.ndarray, target: tuple[int, int, int]) -> np.ndarray:
+    """Area average of a (frames, 1, height, width) array down to target (frames, height, width).
+
+    Every weight is the exact overlap of a source cell [j, j+1) with the
+    target cell [a*src/dst, (a+1)*src/dst), divided by src/dst, and every
+    sum runs over Fractions, so the one rounding is the final float.
+    Reference for downsample_mask's float per-axis contractions.
+    """
+
+    def weights(src: int, dst: int) -> list[list[tuple[int, Fraction]]]:
+        step = Fraction(src, dst)
+        rows = []
+        for a in range(dst):
+            lo, hi = a * step, (a + 1) * step
+            overlaps = ((j, min(Fraction(j + 1), hi) - max(Fraction(j), lo)) for j in range(src))
+            rows.append([(j, o / step) for j, o in overlaps if o > 0])
+        return rows
+
+    f, _, h, w = values.shape
+    pf, ph, pw = (weights(src, dst) for src, dst in zip((f, h, w), target))
+    out = np.empty((target[0], 1, target[1], target[2]))
+    for a, fa in enumerate(pf):
+        for b, hb in enumerate(ph):
+            for c, wc in enumerate(pw):
+                total = sum(
+                    wf * wh * ww * Fraction(values[i, 0, j, k])
+                    for i, wf in fa
+                    for j, wh in hb
+                    for k, ww in wc
+                )
+                out[a, 0, b, c] = float(total)
+    return out
 
 
 def oracle_posterior_mean(z: LatentField, t: float, data: MixtureDataset) -> LatentField:

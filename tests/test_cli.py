@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -115,9 +116,13 @@ class TestCommands:
         text = BASE_CONFIG.replace("steps = 50", "steps = 20")
         config = write_config(tmp_path, text)
         assert run("equivalence", config, tmp_path / "q") == 0
-        report = (tmp_path / "q" / "equivalence.txt").read_text()
-        assert "passed=true" in report
-        assert report.count("step t=") == 21
+        lines = (tmp_path / "q" / "equivalence.txt").read_text().splitlines()
+        keys = [line.partition("=")[0] for line in lines[:5]]
+        assert keys == ["tol", "passed", "max_deviation", "flowedit_nfe", "edit_nfe"]
+        assert lines[1] == "passed=true"
+        # one deviation per knot: N + 1 for N steps
+        assert len(lines) == 5 + 21
+        assert all(line.startswith("step t=") for line in lines[5:])
 
     def test_equivalence_failure_exit_code(self, tmp_path):
         text = BASE_CONFIG.replace("steps = 50", "steps = 20") + "equiv_tol = 0\n"
@@ -141,6 +146,22 @@ class TestCommands:
         assert [int(row[0]) for row in rows] == [1, 2, 5, 10]
         assert [int(row[1]) for row in rows] == [100, 75, 60, 55]
         assert float(rows[0][2]) == 0.0
+
+    def test_sweep_reuse_holds_one_edit_besides_its_baseline(self, tmp_path):
+        text = "frames = 4\nchannels = 2\nheight = 64\nwidth = 64\nsteps = 10\nhf_lambda = 0\n"
+
+        def peak_bytes(sweep_r):
+            config = write_config(tmp_path, text + f"sweep_r = {sweep_r}\n")
+            tracemalloc.start()
+            try:
+                assert run("sweep-reuse", config, tmp_path / "s") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes("1")  # warm-up: one-time allocations of the first run
+        output_bytes = 4 * 2 * 64 * 64 * 8
+        assert peak_bytes("1, 2, 3, 4, 5, 6, 7, 8, 9, 10") - peak_bytes("1, 2") < output_bytes // 4
 
     def test_sweep_reuse_identity_column(self, tmp_path):
         # an identity run (src = tar) adds each row's identity error

@@ -180,9 +180,11 @@ class TestEquivalence:
         z0 = sample_noise(9, SHAPE)
         schedule = make_uniform_schedule(5)
         report = equivalence_check(field, z0, SRC, TAR, schedule, 1, 1e-6)
-        lines = report.to_lines()
-        assert lines[0].startswith("tol=")
-        assert sum(1 for line in lines if line.startswith("step ")) == 6
+        # equivalence.txt writes one step line per knot: N + 1 for N steps
+        assert len(report.timesteps) == len(report.deviations) == 6
+        assert sorted(report.timesteps) == schedule.knots.tolist()
+        assert report.tol == 1e-6
+        assert report.max_deviation == max(report.deviations)
 
 
 def check_equivalence_within(tol):

@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal, assert_array_max_ulp
 
 from rcflow.edit import EditConfig, run_edit
 from rcflow.engine import ConditionBundle, make_uniform_schedule
@@ -22,7 +24,7 @@ from rcflow.latent import (
 )
 from rcflow.rng import standard_normal
 
-from reference import full_spectrum_split
+from reference import exact_area_pool, full_spectrum_split
 
 
 def field_from(values, shape):
@@ -303,6 +305,35 @@ class TestDownsampleMask:
     def test_incompatible_frame_count(self):
         with pytest.raises(ShapeMismatchError):
             downsample_mask(Mask.ones(Shape(2, 1, 4, 4)), Shape(3, 1, 4, 4))
+
+    @pytest.mark.parametrize(
+        "source,target",
+        [
+            ((3, 1, 5, 7), (2, 3, 4)),
+            ((6, 1, 9, 10), (4, 6, 4)),
+            ((9, 1, 7, 5), (6, 3, 2)),
+            ((15, 1, 10, 6), (10, 4, 5)),
+        ],
+    )
+    def test_fractional_ratios_match_the_exact_area_average(self, source, target):
+        values = np.random.default_rng(sum(source)).random(source)
+        out = downsample_mask(Mask(values), Shape(target[0], 1, target[1], target[2]))
+        # each of the three passes rounds its weights, products and sums; 8 ulp
+        # bounds that with room, where 4 does not: the 15 -> 10 case reaches 5
+        assert_array_max_ulp(out.data, exact_area_pool(values, target), maxulp=8)
+
+    def test_pooling_to_its_own_shape_returns_the_values(self):
+        values = np.random.default_rng(3).random((5, 1, 7, 9))
+        out = downsample_mask(Mask(values), Shape(5, 3, 7, 9))
+        assert out.data.tobytes() == values.tobytes()
+
+    def test_each_axis_pools_in_one_pass(self):
+        # one contraction over all three axes, pairing every source cell with every
+        # target cell, takes about 5 s on 2 CPUs
+        mask = Mask(np.random.default_rng(4).random((4, 1, 128, 128)))
+        started = time.perf_counter()
+        downsample_mask(mask, Shape(4, 1, 64, 64))
+        assert time.perf_counter() - started < 1.0
 
 
 def test_rel_error_scale():
