@@ -69,7 +69,7 @@ def _out_dir(cfg: cfgmod.ExperimentConfig) -> Path:
 
 def _write_run_outputs(out: Path, command: str, field, nfe: int, **metrics) -> None:
     write_stack(out / "output.fps", field)
-    lo, hi = export_frames(out, field, channel=0)
+    lo, hi = export_frames(out, field)
     text = key_values(nfe=nfe, **metrics, export_channel=0, export_min=lo, export_max=hi)
     write_text(out / "metrics.txt", text)
     print(f"{command}: nfe={nfe} out={out}")

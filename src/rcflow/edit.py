@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from .engine import (
     ConditionBundle,
     Schedule,
@@ -29,9 +27,9 @@ from .engine import (
     checked_evaluate,
     euler_step,  # noqa: F401  unused here; perfbench/tracing.py rebinds it in this module
 )
-from .errors import NumericError
 from .latent import (
-    LatentField, Mask, _require_mask_fits, _require_same_shape, _require_unit, hf_transfer, lerp_noise, rms
+    LatentField, Mask, _numeric_stage, _require_mask_fits, _require_same_shape, _require_unit, hf_transfer,
+    lerp_noise, rms,
 )
 
 
@@ -89,13 +87,8 @@ def consistency_residual(
         raise ValueError(f"t must lie in (0, 1], got {t}")
     z_t = lerp_noise(z0, eps, t)
     v_src = checked_evaluate(field, z_t, t, c_src)
-    try:
-        # an overflow is inf, which LatentField reports as a NumericError
-        with np.errstate(over="ignore", invalid="ignore"):
-            residual = (z0.data - eps.data) - v_src.data
-        return LatentField(residual)
-    except NumericError as exc:
-        raise NumericError(f"residual became non-finite at t={t}") from exc
+    with _numeric_stage(f"residual became non-finite at t={t}"):
+        return LatentField((z0.data - eps.data) - v_src.data)
 
 
 def run_edit(
@@ -133,8 +126,7 @@ def run_edit(
         else:
             residual_norms.append(residual_norms[-1])
         v_tar = checked_evaluate(field, z_edit, t_hi, c_tar)
-        # an overflow is inf, which the step's LatentField check reports as a NumericError
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _numeric_stage():
             return v_tar.data + config.mask.data * residual.data
 
     def transfer(t_lo, z_edit):

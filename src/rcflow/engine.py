@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeMismatchError
-from .latent import LatentField, Shape, _require_same_shape
+from .latent import LatentField, Shape, _numeric_stage, _require_same_shape
 from .rng import standard_normal
 
 
@@ -118,7 +118,8 @@ def euler_step(z: LatentField, t_hi: float, t_lo: float, v: LatentField) -> Late
     if not t_hi > t_lo:
         raise ValueError(f"step must move down in time, got {t_hi} -> {t_lo}")
     _require_same_shape(z, v, "euler_step")
-    return LatentField(z.data + (t_hi - t_lo) * v.data)
+    with _numeric_stage():
+        return LatentField(z.data + (t_hi - t_lo) * v.data)
 
 
 def _trajectory(
@@ -139,13 +140,11 @@ def _trajectory(
     for i in range(schedule.steps, 0, -1):
         t_hi, t_lo = knots[i], knots[i - 1]
         v = velocity(i, t_hi, z)
-        try:
+        with _numeric_stage(f"{what} became non-finite stepping to t={t_lo}"):
             z = euler_step(z, t_hi, t_lo, v if isinstance(v, LatentField) else LatentField(v))
             del v  # released before `after`, where a step's memory peaks
             if after is not None:
                 z = after(t_lo, z)
-        except NumericError as exc:
-            raise NumericError(f"{what} became non-finite stepping to t={t_lo}") from exc
         yield float(t_lo), z
 
 

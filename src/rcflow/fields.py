@@ -23,8 +23,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .engine import ConditionBundle, VelocityField, sample_noise
-from .errors import NumericError, ShapeMismatchError
-from .latent import LatentField, Mask, Shape, _require_same_shape, freq_decompose
+from .errors import ShapeMismatchError
+from .latent import LatentField, Mask, Shape, _numeric_stage, _require_same_shape, freq_decompose
 from .rng import derive_seed, uniform_open
 
 AGNOSTIC_ARITY = 3  # (pattern_seed, blob_count, motion)
@@ -80,12 +80,12 @@ class ToyScene:
         ys = np.arange(h)[:, None]
         xs = np.arange(w)[None, :]
         frames = np.zeros((f, h, w))
-        for fi in range(f):
-            dy = cy + motion * fi * np.sin(drift)
-            dx = cx + motion * fi * np.cos(drift)
-            for j in range(blob_count):
-                # a blob drifted far out, even out of float range, is inf away: exp(-inf) = 0 is right
-                with np.errstate(over="ignore"):
+        # a blob drifted far out, even out of float range, is inf away: exp(-inf) = 0 is right
+        with _numeric_stage():
+            for fi in range(f):
+                dy = cy + motion * fi * np.sin(drift)
+                dx = cx + motion * fi * np.cos(drift)
+                for j in range(blob_count):
                     d2 = (ys - dy[j]) ** 2 + (xs - dx[j]) ** 2
                     frames[fi] += amp[j] * np.exp(-d2 / (2.0 * sigma[j] ** 2))
         return np.broadcast_to(frames[:, None, :, :], (f, c, h, w)).copy()
@@ -120,21 +120,17 @@ def render_target(scene: ToyScene, c: ConditionBundle) -> LatentField:
                 f"structural field {c.structural.data.shape} does not match scene {pattern.shape}"
             )
         pattern = pattern + STRUCTURAL_WEIGHT * c.structural.data
-    # an overflow gives inf or nan, reported below as a NumericError naming the render
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _numeric_stage(f"scene render became non-finite under illum_params {c.illum_params}"):
         gain = scene.gain_field(c.illum_params)
         rendered = mask * (pattern * gain) + (1.0 - mask) * float(c.illum_params[3])
-    if c.reference_frame is not None:
-        ref = c.reference_frame.data
-        if ref.shape[1:] != rendered.shape[1:]:
-            raise ShapeMismatchError(
-                f"reference_frame {ref.shape} does not match scene frames {rendered.shape}"
-            )
-        rendered[0] = ref[0]
-    try:
+        if c.reference_frame is not None:
+            ref = c.reference_frame.data
+            if ref.shape[1:] != rendered.shape[1:]:
+                raise ShapeMismatchError(
+                    f"reference_frame {ref.shape} does not match scene frames {rendered.shape}"
+                )
+            rendered[0] = ref[0]
         return LatentField(rendered)
-    except NumericError as exc:
-        raise NumericError(f"scene render became non-finite under illum_params {c.illum_params}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +158,7 @@ class MixtureDataset:
         weights = np.array([float(w) for w, _ in components])
         if np.any(weights < 0.0):
             raise ValueError("mixture weights must be nonnegative")
-        with np.errstate(over="ignore"):
+        with _numeric_stage():
             total = float(weights.sum())
         if total == np.inf:
             # huge weights overflow their sum; relative to the largest they do not
@@ -183,7 +179,7 @@ class MixtureDataset:
     @cached_property
     def center(self) -> np.ndarray:
         # an overflowing center or norm is inf; the posterior mean then takes the direct distances
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _numeric_stage():
             center = self.points.reshape(len(self.points), -1).mean(axis=0)
         center.flags.writeable = False
         return center
@@ -191,7 +187,7 @@ class MixtureDataset:
     @cached_property
     def centered_sq_norms(self) -> np.ndarray:
         norms = np.empty(len(self.points))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _numeric_stage():
             for k, row in enumerate(self.points.reshape(len(self.points), -1)):
                 centered = row - self.center
                 norms[k] = centered @ centered
@@ -216,9 +212,8 @@ def constant_field(k: LatentField) -> VelocityField:
 
 def _sq_distances(flat: np.ndarray, s: float, z: np.ndarray) -> np.ndarray:
     """||s * p_k - z||^2 for every row p_k of `flat`, inf where it overflows."""
-    with np.errstate(over="ignore"):
-        diff = flat * s - z
-        return np.sum(diff * diff, axis=1)
+    diff = flat * s - z
+    return np.sum(diff * diff, axis=1)
 
 
 def _posterior_mean_stable(z: np.ndarray, t: float, data: MixtureDataset) -> np.ndarray:
@@ -231,7 +226,8 @@ def _posterior_mean_stable(z: np.ndarray, t: float, data: MixtureDataset) -> np.
     finite, the call takes the direct distances instead.
 
     Falls back to the nearest component by the distances it holds (lowest
-    index on ties) if every shifted weight still vanishes.
+    index on ties) if every shifted weight still vanishes. Runs inside the
+    field's numeric stage, so a distance or a mean that overflows is inf.
     """
     if len(data.points) == 1:
         # every form above gives the one component weight exactly 1.0
@@ -239,14 +235,12 @@ def _posterior_mean_stable(z: np.ndarray, t: float, data: MixtureDataset) -> np.
     flat = data.points.reshape(len(data.points), -1)
     s = 1.0 - t
     z = z.reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = z - s * data.center
-        d2 = s * s * data.centered_sq_norms - 2.0 * s * (flat @ y)
+    y = z - s * data.center
+    d2 = s * s * data.centered_sq_norms - 2.0 * s * (flat @ y)
     if not np.all(np.isfinite(d2)):
         d2 = _sq_distances(flat, s, z)
     # a zero weight beside an overflowing negative distance gives nan, caught by the peak
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        exponents = np.log(data.weights) - d2 / (2.0 * t * t)
+    exponents = np.log(data.weights) - d2 / (2.0 * t * t)
     peak = float(np.max(exponents))
     if not np.isfinite(peak):
         if np.min(d2) == np.inf:
@@ -283,9 +277,8 @@ class _MixtureField(VelocityField):
             raise ShapeMismatchError(
                 f"mixture components are {data.points.shape[1:]}, latent is {z.data.shape}"
             )
-        mean = _posterior_mean_stable(z.data, t, data)
-        # an overflow at tiny t is inf, which LatentField reports as a NumericError
-        with np.errstate(over="ignore"):
+        with _numeric_stage():
+            mean = _posterior_mean_stable(z.data, t, data)
             return LatentField((mean - z.data) / t)
 
 
@@ -310,14 +303,10 @@ def scene_mixture_field(scene: ToyScene, components: int, spread: float, seed: i
     def build_dataset(c: ConditionBundle) -> MixtureDataset:
         base = render_target(scene, c)
         members = [(1.0, base)]
-        try:
-            # an overflow is inf, which LatentField reports as a NumericError
-            with np.errstate(over="ignore"):
-                for pattern in perturbations:
-                    members.append((1.0, LatentField(base.data + spread * pattern)))
-        except NumericError as exc:
-            where = f"illum_params {c.illum_params} and spread {spread}"
-            raise NumericError(f"scene mixture component {len(members)} became non-finite under {where}") from exc
+        where = f"illum_params {c.illum_params} and spread {spread}"
+        for index, pattern in enumerate(perturbations, 1):
+            with _numeric_stage(f"scene mixture component {index} became non-finite under {where}"):
+                members.append((1.0, LatentField(base.data + spread * pattern)))
         return MixtureDataset(tuple(members))
 
     return _MixtureField(cache(build_dataset))

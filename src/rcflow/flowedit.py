@@ -27,7 +27,7 @@ from .engine import (
     euler_step,  # noqa: F401  unused here; perfbench/tracing.py rebinds it in this module
     sample_noise,
 )
-from .latent import LatentField, Mask, lerp_noise, rel_error
+from .latent import LatentField, Mask, _numeric_stage, lerp_noise, rel_error
 from .rng import derive_seed
 
 
@@ -85,8 +85,7 @@ def _flowedit_trajectory(
             z_pred = LatentField(z_t.data + displacement)
             v_tar = checked_evaluate(field, z_pred, t_hi, c_tar)
             v_src = checked_evaluate(field, z_t, t_hi, c_src)
-            # an overflow is inf, which the step reports as a NumericError
-            with np.errstate(over="ignore", invalid="ignore"):
+            with _numeric_stage():
                 total += v_tar.data - v_src.data
         return total / config.n_avg
 

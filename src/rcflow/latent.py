@@ -3,11 +3,16 @@
 A latent stack is laid out (frames, channels, height, width) in row-major
 order, float64 throughout. Every public operation returns a new immutable
 field and guarantees finite values; violations raise NumericError so callers
-never have to re-check.
+never have to re-check. Overflow has one rule, _numeric_stage: inside a
+stage numpy warns of nothing, an overflow is inf that LatentField rejects,
+and the NumericError names the stage. A metric beyond float64 is a
+NumericError too.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,6 +42,21 @@ class Shape:
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.frames, self.channels, self.height, self.width)
+
+
+@contextmanager
+def _numeric_stage(failure: str | None = None) -> Iterator[None]:
+    """A stage where numpy warns of nothing, so an overflow is inf or nan for LatentField to reject.
+
+    With `failure`, a NumericError raised inside is re-raised as NumericError(failure), chained.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            yield
+        except NumericError as exc:
+            if failure is None:
+                raise
+            raise NumericError(failure) from exc
 
 
 def _as_field_array(data: np.ndarray | list, *, what: str = "field") -> np.ndarray:
@@ -239,8 +259,7 @@ def hf_transfer(
     if hf_lambda == 0.0:
         return z_edit
     h, w = z_edit.data.shape[2:]
-    # an overflow gives inf or nan, which LatentField reports as a NumericError
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _numeric_stage():
         detail = _high_band(np.fft.rfft2(z_src.data - z_edit.data), h, w, rho)
         detail *= hf_lambda * mask.data
         detail += z_edit.data
@@ -287,7 +306,7 @@ def rms(data: np.ndarray) -> float:
 
     Where the squares overflow, the values are first scaled by max|data|.
     """
-    with np.errstate(over="ignore"):
+    with _numeric_stage():
         value = float(np.sqrt(np.mean(data * data)))
     if value == np.inf:
         peak = float(np.max(np.abs(data)))

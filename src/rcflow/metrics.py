@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .latent import LatentField, Mask, rms
+from .errors import NumericError
+from .latent import LatentField, Mask, _numeric_stage, rms
 
 
 def _gradient_magnitude(data: np.ndarray) -> np.ndarray:
@@ -55,10 +56,21 @@ def _overflow_safe(data: np.ndarray) -> np.ndarray:
 
 
 def bg_change_rms(output: LatentField, source: LatentField, mask: Mask) -> float:
-    """RMS of output - source outside the mask; 0 when nothing is outside."""
+    """RMS of output - source outside the mask; 0 when nothing is outside.
+
+    Where a difference overflows, the RMS of the halved values' differences,
+    which cannot overflow, is doubled. An RMS beyond float64 is a
+    NumericError.
+    """
     outside = np.broadcast_to(mask.data <= 0.5, output.data.shape)
-    diff = (output.data - source.data)[outside]
-    return rms(diff) if diff.size else 0.0
+    with _numeric_stage():
+        diff = (output.data - source.data)[outside]
+    value = rms(diff) if diff.size else 0.0
+    if value == np.inf:
+        value = 2.0 * rms(output.data[outside] / 2.0 - source.data[outside] / 2.0)
+        if value == np.inf:
+            raise NumericError("bg_change_rms exceeds the float64 range")
+    return value
 
 
 def rms_gap(a: LatentField, b: LatentField) -> float:

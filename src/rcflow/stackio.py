@@ -150,16 +150,14 @@ def write_pgm(path: str | os.PathLike, frame: np.ndarray, lo: float, hi: float) 
     _write_atomic(path, [f"P5\n{w} {h}\n255\n".encode("ascii"), pixels.tobytes()], binary=True)
 
 
-def export_frames(
-    out_dir: str | os.PathLike, field: LatentField, channel: int = 0
-) -> tuple[float, float]:
-    """Write one PGM per frame of the chosen channel, normalized per run.
+def export_frames(out_dir: str | os.PathLike, field: LatentField) -> tuple[float, float]:
+    """Write one PGM per frame of channel 0, normalized per run.
 
     A single min/max over all exported frames keeps brightness comparable
     across the run; the range is returned for the metrics report.
     """
     out = Path(out_dir)
-    selected = field.data[:, channel, :, :]
+    selected = field.data[:, 0, :, :]
     lo = float(selected.min())
     hi = float(selected.max())
     for index in range(selected.shape[0]):

@@ -321,6 +321,29 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("numeric error: ") and "render" in err
 
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [
+            # z + dt * v overflows in the last step, of the latent and of the edit latent
+            ("generate", "field = constant\nconstant_value = 1.7976931348623157e308\nmask = zeros\n"
+             "hf_lambda = 0\nsteps = 35\n", "latent became non-finite stepping to t=0.0"),
+            ("edit", "field = constant\nconstant_value = 1.7976931348623157e308\nmask = zeros\n"
+             "hf_lambda = 0\nsteps = 35\n", "edit latent became non-finite stepping to t=0.0"),
+            # the posterior mean's convex combination of points near float max rounds past it
+            ("generate", "field = mixture\ntar.illum = 1 0 0 1.7976931348623157e308\n",
+             "velocity field failed at t=0.92"),
+            # output - source overflows outside the mask, and so does their RMS
+            ("edit", "src.illum = 1 0 0 -1.7e308\ntar.illum = 1 0 0 1.7e308\nhf_lambda = 0\nsteps = 5\n",
+             "bg_change_rms exceeds the float64 range"),
+        ],
+        ids=["generate-step", "edit-step", "posterior-mean", "bg-change-rms"],
+    )
+    def test_overflow_exits_with_one_line_naming_its_stage(self, command, text, message, tmp_path, capsys):
+        assert run(command, write_config(tmp_path, text), tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and err.count("\n") == 1 and message in err
+        assert not any((tmp_path / "o").iterdir())
+
     def test_sweep_r_equals_steps(self, tmp_path):
         text = BASE_CONFIG.replace("steps = 50", "steps = 10") + "sweep_r = 1,10\n"
         text = text.replace("reuse_interval = 10", "reuse_interval = 1")
@@ -595,16 +618,18 @@ FUZZ_VALUES = {
     "hf_rho": ["0", "0.8", "1", "1e-300"],
     "mask": ["scene", "ones", "zeros"],
     "field": ["constant", "point", "mixture"],
-    "constant_value": ["0", "1e-300", "1.7e308", "-1.7e308"],
+    "constant_value": ["0", "1e-300", "1.7e308", "-1.7e308", "1.7976931348623157e308"],
     "scene.mask_threshold": ["0.3", "5e-324", "0.999"],
     "mixture.components": ["1", "2", "4"],
     "mixture.spread": ["0", "0.25", "1e154", "1.7e308"],
     "mixture.seed": ["1", "-3"],
     "src.illum": [
-        "1 0 0 0.2", "1.7e308 0 0 -1.7e308", "-1.7e308 1.7e308 3 1.7e308", "5e-324 1e-300 0 5e-324", "1e300 1e300 3 1e300"
+        "1 0 0 0.2", "1.7e308 0 0 -1.7e308", "-1.7e308 1.7e308 3 1.7e308", "5e-324 1e-300 0 5e-324", "1e300 1e300 3 1e300",
+        "1 0 0 -1.7e308",
     ],
     "tar.illum": [
-        "2 0.3 0.8 0.6", "-1.7e308 0 0 1.7e308", "1 0 0 1.7e308", "1e-300 0 0 5e-324", "1e300 -1e300 1 1e300"
+        "2 0.3 0.8 0.6", "-1.7e308 0 0 1.7e308", "1 0 0 1.7e308", "1e-300 0 0 5e-324", "1e300 -1e300 1 1e300",
+        "1 0 0 1.7976931348623157e308",
     ],
     "src.agnostic": ["5 3 0.5", "1 4 1e154", "5 3 1e200", "2 1 -1.7e308", "0 1 5e-324"],
     "tar.agnostic": ["5 3 0.5", "1 4 1e154", "5 3 -1e200", "2 2 1.7e308", "3 1 1e-300"],
@@ -615,7 +640,8 @@ FUZZ_VALUES = {
     "sweep_r": ["1", "1 2", "1, 2, 5"],
 }
 FUZZ_SCHEDULES = [
-    "steps = 1", "steps = 2", "steps = 5", "knots = 0 5e-324 1", "knots = 0 1e-300 1", "knots = 0 0.5 1"
+    "steps = 1", "steps = 2", "steps = 5", "steps = 35", "knots = 0 5e-324 1", "knots = 0 1e-300 1",
+    "knots = 0 0.5 1",
 ]
 FUZZ_WEIGHTS = ["0", "0.5", "1", "5e-324", "1.7e308"]
 FUZZ_POINTS = ["0", "1", "1e-300", "1e300", "-1.7e308"]

@@ -303,7 +303,6 @@ class TestRunEdit:
         assert base.output.data.tobytes() == again.output.data.tobytes()
         assert not np.array_equal(base.output.data, moved.output.data)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_intermediate_names_timestep(self):
         from rcflow.errors import NumericError
 

@@ -164,13 +164,18 @@ class TestGenerate:
         with pytest.raises(NumericError, match="t="):
             generate(Exploding(), SRC, eps, make_uniform_schedule(4))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_intermediate_names_timestep(self):
         # velocity stays finite; only the accumulated latent overflows
         eps = LatentField.full(SHAPE, 1.5e308)
         field = constant_field(LatentField.full(SHAPE, 0.9e308))
         with pytest.raises(NumericError, match="stepping to t=0.5"):
             generate(field, SRC, eps, make_uniform_schedule(4))
+
+    def test_overflowing_euler_step_is_a_numeric_error(self):
+        # 1e308 + 1e308 overflows; pytest's warnings-as-errors fails the test on a numpy warning
+        z = LatentField.full(SHAPE, 1e308)
+        with pytest.raises(NumericError):
+            euler_step(z, 1.0, 0.0, z)
 
     def test_fields_never_evaluated_at_zero(self):
         requested: list[float] = []

@@ -105,7 +105,6 @@ class TestFlowEditRun:
         out_fresh, _ = flowedit_run(field, z0, SRC, TAR, fresh)
         assert not np.array_equal(out_fixed.data, out_fresh.data)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_intermediate_names_timestep(self):
         # velocities stay finite; only the accumulated edit latent overflows
         class TargetOnly(VelocityField):

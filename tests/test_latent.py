@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rcflow.latent import (
     LatentField,
     Mask,
     Shape,
+    _numeric_stage,
     downsample_mask,
     freq_decompose,
     hf_transfer,
@@ -66,6 +68,39 @@ class TestLatentField:
         c = field_from([1.0, 2.5], (1, 1, 1, 2))
         assert a == b
         assert a != c
+
+
+class TestNumericStage:
+    def test_failure_renames_and_chains(self):
+        with pytest.raises(NumericError, match="^stage failed$") as info:
+            with _numeric_stage("stage failed"):
+                LatentField(np.full((1, 1, 1, 1), np.inf))
+        assert isinstance(info.value.__cause__, NumericError)
+        assert str(info.value.__cause__) == "field contains non-finite values"
+
+    def test_without_failure_reraises_unchanged(self):
+        original = NumericError("inner")
+        with pytest.raises(NumericError) as info:
+            with _numeric_stage():
+                raise original
+        assert info.value is original
+
+    def test_shape_mismatch_passes_through(self):
+        original = ShapeMismatchError("shapes differ")
+        with pytest.raises(ShapeMismatchError) as info:
+            with _numeric_stage("stage failed"):
+                raise original
+        assert info.value is original and info.value.__cause__ is None
+
+    def test_overflow_invalid_and_divide_warn_nothing(self):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with _numeric_stage():
+                big = np.array([1e308]) * 10.0
+                values = np.concatenate([big, big - big, np.array([1.0]) / 0.0])
+        assert np.isposinf(values[0]) and np.isnan(values[1]) and np.isposinf(values[2])
+        assert np.geterr() == before
 
 
 class TestMask:

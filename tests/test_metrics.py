@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from rcflow.errors import NumericError
 from rcflow.latent import LatentField, Mask, Shape
 from rcflow.metrics import (
     bg_change_rms,
@@ -82,6 +83,21 @@ def test_bg_change_rms_outside_only():
 def test_bg_change_rms_empty_region_is_zero():
     x = checker((1, 1, 4, 4))
     assert bg_change_rms(x, x, Mask.ones(Shape(1, 1, 4, 4))) == 0.0
+
+
+def test_bg_change_rms_is_finite_where_only_some_differences_overflow():
+    # 1e308 - (-1e308) overflows; its halves do not, and the RMS over 16 pixels fits
+    output, source = np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 4, 4))
+    output[0, 0, 0, 0], source[0, 0, 0, 0] = 1e308, -1e308
+    mask = Mask.zeros(Shape(1, 1, 4, 4))
+    assert bg_change_rms(LatentField(output), LatentField(source), mask) == 5e307
+
+
+def test_bg_change_rms_beyond_float64_is_numeric_error():
+    output = LatentField.full(Shape(1, 1, 2, 2), 1.7e308)
+    source = LatentField.full(Shape(1, 1, 2, 2), -1.7e308)
+    with pytest.raises(NumericError, match="bg_change_rms exceeds the float64 range"):
+        bg_change_rms(output, source, Mask.zeros(Shape(1, 1, 2, 2)))
 
 
 def test_rms_gap():

@@ -243,7 +243,7 @@ def test_export_frames_shares_one_range(tmp_path):
     data = np.zeros((2, 2, 2, 2))
     data[0, 0] = 0.0
     data[1, 0] = 10.0
-    lo, hi = export_frames(tmp_path, LatentField(data), channel=0)
+    lo, hi = export_frames(tmp_path, LatentField(data))
     assert (lo, hi) == (0.0, 10.0)
     first = (tmp_path / "frame_0000.pgm").read_bytes()
     second = (tmp_path / "frame_0001.pgm").read_bytes()
