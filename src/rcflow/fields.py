@@ -225,6 +225,7 @@ def _posterior_mean_stable(z: np.ndarray, t: float, data: MixtureDataset) -> np.
     matrix-vector product gives every distance. Where any of these is not
     finite, the call takes the direct distances instead.
 
+    Where one shifted weight alone is non-zero, the mean is that component.
     Falls back to the nearest component by the distances it holds (lowest
     index on ties) if every shifted weight still vanishes. Runs inside the
     field's numeric stage, so a distance or a mean that overflows is inf.
@@ -249,6 +250,9 @@ def _posterior_mean_stable(z: np.ndarray, t: float, data: MixtureDataset) -> np.
             d2 = _sq_distances(np.ldexp(flat, -e), s, np.ldexp(z, -e))
         return data.points[int(np.argmin(d2))]
     shifted = np.exp(exponents - peak)
+    if np.count_nonzero(shifted) == 1:
+        # what the tensordot below sums to, bitwise: the peak component, its -0.0 turned +0.0
+        return data.points[int(np.argmax(shifted))] + 0.0
     return np.tensordot(shifted / shifted.sum(), data.points, axes=(0, 0))
 
 

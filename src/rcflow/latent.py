@@ -7,6 +7,12 @@ never have to re-check. Overflow has one rule, _numeric_stage: inside a
 stage numpy warns of nothing, an overflow is inf that LatentField rejects,
 and the NumericError names the stage. A metric beyond float64 is a
 NumericError too.
+
+The frequency split and the detail transfer run one frame at a time, the
+frames split across CPUs by rng.run_chunks on the noise's thread pool. A
+frame takes the same operations on any thread, so their bits do not
+depend on the CPU count. numpy's error state does not reach the pool's
+threads, so each range enters _numeric_stage itself.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericError, ShapeMismatchError
+from .rng import run_chunks
 
 
 @dataclass(frozen=True)
@@ -212,14 +219,15 @@ def _high_half_bins(height: int, width: int, rho: float) -> np.ndarray:
     return high
 
 
-def _high_band(spectrum: np.ndarray, height: int, width: int, rho: float) -> np.ndarray:
+def _high_band(spectrum: np.ndarray, high: np.ndarray, size: tuple[int, int]) -> np.ndarray:
     """The HIGH band of an rfft2 half spectrum, back in space; masks `spectrum` in place.
 
-    It takes the spectrum rather than the values, so a caller's temporary
-    input is freed before the inverse transform allocates its output.
+    `high` is _high_half_bins for `size`. It takes the spectrum rather than
+    the values, so a caller's temporary input is freed before the inverse
+    transform allocates its output.
     """
-    spectrum *= _high_half_bins(height, width, rho)
-    return np.fft.irfft2(spectrum, s=(height, width))
+    spectrum *= high
+    return np.fft.irfft2(spectrum, s=size)
 
 
 def freq_decompose(x: LatentField, rho: float) -> FreqSplit:
@@ -227,13 +235,23 @@ def freq_decompose(x: LatentField, rho: float) -> FreqSplit:
 
     Bins with normalized radial frequency above rho * r_max form HIGH (see
     _high_half_bins; the DC bin never does), taken by one real transform
-    pair. LOW is x - HIGH, so low + high reconstructs x up to rounding. The
-    temporal axis is untouched.
+    pair per frame, the frames split across CPUs by run_chunks. LOW is
+    x - HIGH, so low + high reconstructs x up to rounding. The temporal axis
+    is untouched.
     """
     rho = _require_unit(rho, "rho")
-    h, w = x.data.shape[2:]
-    high = _high_band(np.fft.rfft2(x.data), h, w, rho)
-    return FreqSplit(LatentField(x.data - high), LatentField(high))
+    size = x.data.shape[2:]
+    bins = _high_half_bins(*size, rho)
+    low, high = np.empty_like(x.data), np.empty_like(x.data)
+
+    def split(lo: int, hi: int) -> None:
+        with _numeric_stage():
+            for f in range(lo, hi):
+                high[f] = _high_band(np.fft.rfft2(x.data[f]), bins, size)
+                np.subtract(x.data[f], high[f], out=low[f])
+
+    run_chunks(split, len(x.data))
+    return FreqSplit(LatentField(low), LatentField(high))
 
 
 def hf_transfer(
@@ -247,8 +265,9 @@ def hf_transfer(
 
     Returns LF(z_edit) + lambda*M*HF(z_src) + (1 - lambda*M)*HF(z_edit).
     LF + HF is the identity and HF is linear, so this is computed as
-    z_edit + lambda*M*HF(z_src - z_edit) with the one real transform pair
-    freq_decompose also takes. lambda == 0 returns z_edit itself (bitwise
+    z_edit + lambda*M*HF(z_src - z_edit) with the real transform pair
+    freq_decompose also takes, one frame at a time, the frames split across
+    CPUs by run_chunks. lambda == 0 returns z_edit itself (bitwise
     identity); a zero mask and transferring a field onto itself return
     z_edit's values exactly.
     """
@@ -258,12 +277,19 @@ def hf_transfer(
     rho = _require_unit(rho, "rho")
     if hf_lambda == 0.0:
         return z_edit
-    h, w = z_edit.data.shape[2:]
-    with _numeric_stage():
-        detail = _high_band(np.fft.rfft2(z_src.data - z_edit.data), h, w, rho)
-        detail *= hf_lambda * mask.data
-        detail += z_edit.data
-    return LatentField(detail)
+    size = z_edit.data.shape[2:]
+    bins = _high_half_bins(*size, rho)
+    out = np.empty_like(z_edit.data)
+
+    def transfer(lo: int, hi: int) -> None:
+        with _numeric_stage():
+            for f in range(lo, hi):
+                detail = _high_band(np.fft.rfft2(z_src.data[f] - z_edit.data[f]), bins, size)
+                detail *= hf_lambda * mask.data[f]
+                np.add(detail, z_edit.data[f], out=out[f])
+
+    run_chunks(transfer, len(out))
+    return LatentField(out)
 
 
 def _pool_weights(src: int, dst: int) -> np.ndarray:

@@ -6,12 +6,16 @@ GAMMA is the 64-bit golden-ratio increment. Everything is fixed-width
 uint64 / float64 arithmetic, so identical (seed, shape) yields bit-identical
 output on every platform. numpy's own generators are deliberately not used
 here; their bit streams are not part of any compatibility contract.
+
+The module also owns the package's one thread pool, which run_chunks
+splits work across.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -36,11 +40,11 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 def _start_pool() -> None:
     """Bind a fresh worker pool; it starts its threads on first use, not here.
 
-    numpy releases the GIL inside ufunc loops, so chunks filled on the pool
-    run in parallel.
+    numpy releases the GIL inside its ufunc loops and FFTs, so the ranges
+    run_chunks hands the pool run in parallel.
     """
     global _POOL
-    _POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="rcflow-rng")
+    _POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="rcflow")
 
 
 _start_pool()
@@ -75,6 +79,27 @@ def uniform_open(seed: int, count: int) -> np.ndarray:
     words = random_words(seed, count)
     # top 52 bits plus a half-ulp offset keeps both endpoints excluded
     return ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+
+
+def run_chunks(task: Callable[[int, int], None], stop: int) -> None:
+    """Run task(lo, hi) over contiguous ranges that cover [0, stop), one range per CPU.
+
+    The first range runs on the calling thread, the rest on the shared pool.
+    It returns or raises only after every range has finished, so the ranges
+    may write into arrays the caller owns. A task that runs on the pool must
+    never call run_chunks itself: it would wait on ranges queued behind it
+    on the pool it occupies, and could deadlock.
+    """
+    chunks = max(1, min(_WORKERS, stop))
+    bounds = [stop * k // chunks for k in range(chunks + 1)]
+    futures = [_POOL.submit(task, bounds[k], bounds[k + 1]) for k in range(1, chunks)]
+    try:
+        task(bounds[0], bounds[1])
+    finally:
+        # the ranges write into the caller's arrays: never return or raise while one runs
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _fill_pairs(seed: int, pairs: int, start: int, stop: int, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -116,8 +141,9 @@ def standard_normal(seed: int, count: int) -> np.ndarray:
 
     Pairs (u1, u2) are the first and second halves of a 2*ceil(count/2)
     uniform block; pair j yields r*cos and r*sin with r = sqrt(-2 ln u1).
-    A draw of more than one block is filled in one contiguous chunk per CPU,
-    block by block; the bits are the same for every CPU count.
+    A draw of more than one block is split into one contiguous chunk per
+    CPU, which run_chunks fills block by block; the bits are the same for
+    every CPU count.
     """
     pairs = (count + 1) // 2
     out = np.empty(2 * pairs)
@@ -126,16 +152,12 @@ def standard_normal(seed: int, count: int) -> np.ndarray:
     bounds = [pairs * k // chunks for k in range(chunks + 1)]
     # allocated here, so the worker threads keep no heap memory of their own
     scratch = np.empty((chunks, 5 * max(1, min(_BLOCK_PAIRS, pairs))), dtype=np.uint64)
-    futures = [
-        _POOL.submit(_fill_pairs, seed, pairs, bounds[k], bounds[k + 1], out, scratch[k])
-        for k in range(1, chunks)
-    ]
-    try:
-        _fill_pairs(seed, pairs, bounds[0], bounds[1], out, scratch[0])
-    finally:
-        # the workers write into out: never return or raise while one runs
-        for future in futures:
-            future.result()
+
+    def fill(lo: int, hi: int) -> None:
+        for k in range(lo, hi):
+            _fill_pairs(seed, pairs, bounds[k], bounds[k + 1], out, scratch[k])
+
+    run_chunks(fill, chunks)
     return out[:count]
 
 

@@ -1,4 +1,4 @@
-"""Test-only references: a full-spectrum frequency split, exact area pooling, two mixture posterior means, an evaluation counter, a metrics.txt reader."""
+"""Test-only references: a full-spectrum frequency split, a whole-stack high band, exact area pooling, two mixture posterior means, an evaluation counter, a metrics.txt reader."""
 
 from __future__ import annotations
 
@@ -12,25 +12,45 @@ from rcflow.fields import MixtureDataset
 from rcflow.latent import LatentField
 
 
-def full_spectrum_split(x: LatentField, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """LOW and HIGH of x, each the inverse complex DFT of its own bins over the full spectrum.
+def _high_bins(height: int, width: int, rho: float) -> np.ndarray:
+    """HIGH-band bins over the full spectrum.
 
     Per axis of length n, bin k has normalized frequency min(k, n-k)/(n//2);
-    a length-1 axis contributes zero. Bins whose radial frequency is at most
-    rho times the largest go to LOW, the rest to HIGH. Reference for
-    freq_decompose's one real transform pair, which forms LOW as x - HIGH.
+    a length-1 axis contributes zero. Bins whose radial frequency exceeds
+    rho times the largest are HIGH, the rest LOW.
     """
 
     def axis_freq(n: int) -> np.ndarray:
         k = np.arange(n)
         return np.zeros(1) if n == 1 else np.minimum(k, n - k) / (n // 2)
 
-    radial = np.hypot(axis_freq(x.data.shape[2])[:, None], axis_freq(x.data.shape[3])[None, :])
-    low_bins = radial <= rho * radial.max()
+    radial = np.hypot(axis_freq(height)[:, None], axis_freq(width)[None, :])
+    return radial > rho * radial.max()
+
+
+def full_spectrum_split(x: LatentField, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """LOW and HIGH of x, each the inverse complex DFT of its own bins over the full spectrum.
+
+    Reference for freq_decompose's real transform pairs, which form LOW as
+    x - HIGH.
+    """
+    high_bins = _high_bins(*x.data.shape[2:], rho)
     spectrum = np.fft.fft2(x.data, axes=(-2, -1))
-    low = np.fft.ifft2(spectrum * low_bins, axes=(-2, -1)).real
-    high = np.fft.ifft2(spectrum * ~low_bins, axes=(-2, -1)).real
+    low = np.fft.ifft2(spectrum * ~high_bins, axes=(-2, -1)).real
+    high = np.fft.ifft2(spectrum * high_bins, axes=(-2, -1)).real
     return low, high
+
+
+def whole_stack_high_band(values: np.ndarray, rho: float) -> np.ndarray:
+    """HIGH of a whole stack from one real transform pair over all its frames at once.
+
+    The band operator's arithmetic without its split by frame: the bits
+    freq_decompose and hf_transfer must give for any CPU count.
+    """
+    h, w = values.shape[2:]
+    spectrum = np.fft.rfft2(values)
+    spectrum *= _high_bins(h, w, rho)[:, : w // 2 + 1]
+    return np.fft.irfft2(spectrum, s=(h, w))
 
 
 def exact_area_pool(values: np.ndarray, target: tuple[int, int, int]) -> np.ndarray:

@@ -244,6 +244,21 @@ class TestMixtureField:
         assert_array_equal(v.data, expected)
         assert_array_equal(v.data, 0.0)
 
+    def test_lone_surviving_weight_gives_the_tensordot_bits(self):
+        # at t = 0.01 next to component 1, every other shifted weight underflows to 0
+        shape = Shape(2, 3, 8, 8)
+        points = [10.0 * sample_noise(40 + k, shape).data for k in range(3)]
+        points[1][0, 0, 0, :4] = -0.0
+        data = MixtureDataset(tuple((1.0, LatentField(p)) for p in points))
+        t = 0.01
+        z = (1.0 - t) * data.points[1].reshape(-1)
+        one_hot = np.array([0.0, 1.0, 0.0])
+        expected = np.tensordot(one_hot, data.points, axes=(0, 0))
+        mean = fields._posterior_mean_stable(z, t, data)
+        assert mean.tobytes() == expected.tobytes()
+        # the tensordot sums -0.0 to +0.0, and so does the shortcut
+        assert not np.any(np.signbit(mean[0, 0, 0, :4]))
+
     def test_oracle_underflow_raises(self):
         near = LatentField.zeros(Shape(1, 1, 4, 4))
         data = MixtureDataset(((1.0, near),))

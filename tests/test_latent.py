@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal, assert_array_max_ulp
 
+import rcflow.rng as rng
 from rcflow.edit import EditConfig, run_edit
 from rcflow.engine import ConditionBundle, make_uniform_schedule
 from rcflow.errors import NumericError, ShapeMismatchError
@@ -26,7 +27,7 @@ from rcflow.latent import (
 )
 from rcflow.rng import standard_normal
 
-from reference import exact_area_pool, full_spectrum_split
+from reference import exact_area_pool, full_spectrum_split, whole_stack_high_band
 
 
 def field_from(values, shape):
@@ -307,6 +308,41 @@ class TestHfTransferProperties:
         z_edit, z_src, mask, hf_lambda, rho = case
         out = hf_transfer(z_edit, z_src, Mask(np.zeros_like(mask.data)), hf_lambda, rho)
         assert_array_equal(out.data, z_edit.data)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("frames", [1, 2, 3, 5])
+def test_band_operator_bits_do_not_depend_on_worker_count(monkeypatch, workers, frames):
+    # the frames run one at a time, split across the pool: the bits are the whole stack's
+    monkeypatch.setattr(rng, "_WORKERS", workers)
+    shape = (frames, 2, 12, 9)
+    z_edit, z_src = random_field(50, shape), random_field(51, shape)
+    mask = Mask(np.abs(random_field(52, (frames, 1, 12, 9)).data) % 1.0)
+    expected = whole_stack_high_band(z_src.data - z_edit.data, 0.6)
+    expected *= 0.7 * mask.data
+    expected += z_edit.data
+    assert hf_transfer(z_edit, z_src, mask, 0.7, 0.6).data.tobytes() == expected.tobytes()
+
+    split = freq_decompose(z_edit, 0.6)
+    high = whole_stack_high_band(z_edit.data, 0.6)
+    assert split.high.data.tobytes() == high.tobytes()
+    assert split.low.data.tobytes() == (z_edit.data - high).tobytes()
+    low, high = full_spectrum_split(z_edit, 0.6)
+    bound = 1e-12 * (1.0 + z_edit.max_abs())
+    assert np.max(np.abs(split.low.data - low)) <= bound
+    assert np.max(np.abs(split.high.data - high)) <= bound
+
+
+def test_band_operator_overflow_warns_on_no_worker(monkeypatch):
+    # numpy's error state does not reach the pool's threads: each range enters the stage itself
+    monkeypatch.setattr(rng, "_WORKERS", 3)
+    huge = LatentField(np.copysign(1e308, random_field(53, (5, 1, 8, 8)).data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="non-finite"):
+            hf_transfer(huge, LatentField(-huge.data), Mask.ones(huge.shape), 1.0, 0.5)
+        with pytest.raises(NumericError, match="non-finite"):
+            freq_decompose(huge, 0.5)
 
 
 class TestDownsampleMask:

@@ -2,6 +2,7 @@ import hashlib
 import multiprocessing
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rcflow.rng as rng
-from rcflow.rng import derive_seed, random_words, standard_normal, uniform_open
+from rcflow.latent import LatentField, Mask, hf_transfer
+from rcflow.rng import derive_seed, random_words, run_chunks, standard_normal, uniform_open
 
 # frozen stream head for seed 1; guards the cross-platform bit contract
 SEED1_WORDS = [
@@ -108,15 +110,53 @@ def test_normal_bits_do_not_depend_on_worker_count(monkeypatch, workers):
             assert standard_normal(seed, count).tobytes() == one_shot_standard_normal(seed, count).tobytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("stop", [0, 1, 2, 5])
+def test_run_chunks_covers_each_index_once(monkeypatch, workers, stop):
+    monkeypatch.setattr(rng, "_WORKERS", workers)
+    ranges = []
+    run_chunks(lambda lo, hi: ranges.append((lo, hi)), stop)
+    assert sorted(i for lo, hi in ranges for i in range(lo, hi)) == list(range(stop))
+    assert len(ranges) == max(1, min(workers, stop))
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_run_chunks_raises_only_after_every_range_finished(monkeypatch, failing):
+    monkeypatch.setattr(rng, "_WORKERS", 3)
+    finished = []
+
+    def task(lo, hi):
+        if lo == failing:
+            raise ValueError(f"range {lo}")
+        time.sleep(0.05 * lo)  # the last range on the pool finishes last
+        finished.append(lo)
+
+    with pytest.raises(ValueError, match=f"range {failing}"):
+        run_chunks(task, 3)
+    assert sorted(finished) == [lo for lo in range(3) if lo != failing]
+
+
 def test_concurrent_callers_get_their_own_bits(monkeypatch):
+    # noise draws and detail transfers from several threads share the pool's workers
+    shape = (5, 2, 8, 8)
+    fields = {seed: LatentField(one_shot_standard_normal(seed, 640).reshape(shape)) for seed in range(6)}
+    mask = Mask(np.full((5, 1, 8, 8), 0.5))
+
+    def transfer(seed):
+        return hf_transfer(fields[seed], fields[(seed + 1) % 6], mask, 0.7, 0.6).data.tobytes()
+
+    monkeypatch.setattr(rng, "_WORKERS", 1)
+    transfers = {seed: transfer(seed) for seed in fields}
     monkeypatch.setattr(rng, "_WORKERS", 3)
     count = 2 * 3 * rng._BLOCK_PAIRS + 1
-    expected = {seed: one_shot_standard_normal(seed, count).tobytes() for seed in range(6)}
+    expected = {seed: (one_shot_standard_normal(seed, count).tobytes(), transfers[seed]) for seed in range(6)}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=len(expected)) as callers:
-            drawn = callers.map(lambda seed: standard_normal(seed, count).tobytes(), expected, timeout=60)
+            drawn = callers.map(
+                lambda seed: (standard_normal(seed, count).tobytes(), transfer(seed)), expected, timeout=60
+            )
             results = dict(zip(expected, drawn))
     finally:
         sys.setswitchinterval(interval)
