@@ -10,6 +10,7 @@ transfer, no residual reuse). The equivalence harness checks exactly that.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,7 +29,7 @@ from .engine import (
     sample_noise,
 )
 from .latent import LatentField, Mask, _numeric_stage, lerp_noise, rel_error
-from .rng import derive_seed
+from .rng import QueuedDraw, derive_seed
 
 
 class NoiseMode(Enum):
@@ -70,26 +71,57 @@ def _flowedit_trajectory(
     fixed_eps is the fixed mode's one noise, None in fresh mode.
     """
     shape = z0.shape
+    queued: QueuedDraw | None = None  # fresh mode's next draw, running on rng's pool
+
+    def noise(i: int, draw: int) -> LatentField:
+        """The noise of draw `draw` at knot i, with the next key's fresh draw queued behind it.
+
+        Fresh noise (i, draw) comes from stream derive_seed(seed, i, draw).
+        velocity asks for the keys in walk order, (i, 0) .. (i, n_avg - 1)
+        and then knot i - 1, so the queued draw is always the one asked for.
+        """
+        nonlocal queued
+        if fixed_eps is not None:
+            return fixed_eps
+        if queued is None:
+            queued = QueuedDraw(derive_seed(config.seed, i, draw), shape.count)
+        values = queued.result()
+        i, draw = (i, draw + 1) if draw + 1 < config.n_avg else (i - 1, 0)
+        queued = QueuedDraw(derive_seed(config.seed, i, draw), shape.count) if i > 0 else None
+        return LatentField(values.reshape(shape.as_tuple()))
 
     def velocity(i, t_hi, z_edit):
-        total = np.zeros(z0.data.shape)
         # displacement first: when the edit latent still equals the input,
         # the predicted point is exactly the source point and the velocities
         # cancel identically under equal conditions
         displacement = z_edit.data - z0.data
+        total = None
+        # each stack is dropped once dead, so a step holds as few as it can
         for draw in range(config.n_avg):
-            eps_t = fixed_eps
-            if eps_t is None:
-                eps_t = sample_noise(derive_seed(config.seed, i, draw), shape)
-            z_t = lerp_noise(z0, eps_t, t_hi)
+            z_t = lerp_noise(z0, noise(i, draw), t_hi)
             z_pred = LatentField(z_t.data + displacement)
             v_tar = checked_evaluate(field, z_pred, t_hi, c_tar)
+            del z_pred
             v_src = checked_evaluate(field, z_t, t_hi, c_src)
+            del z_t
             with _numeric_stage():
-                total += v_tar.data - v_src.data
+                gap = v_tar.data - v_src.data
+                del v_tar, v_src
+                if total is None:
+                    # the bits of 0.0 + gap, a -0.0 turned +0.0, without a zeroed stack
+                    total = np.add(gap, 0.0, out=gap)
+                else:
+                    total += gap
+                del gap
+        del displacement
         return total / config.n_avg
 
-    return _trajectory(z0, config.schedule, velocity, "edit latent")
+    try:
+        yield from _trajectory(z0, config.schedule, velocity, "edit latent")
+    finally:
+        if queued is not None:
+            # never return or raise while the pool still writes a draw's memory
+            queued.wait()
 
 
 def flowedit_run(
@@ -110,8 +142,9 @@ def flowedit_run(
     edit latent at t=1 and after every step.
     """
     fixed_eps = sample_noise(config.seed, z0.shape) if config.noise_mode is NoiseMode.FIXED else None
-    path = _flowedit_trajectory(field, z0, c_src, c_tar, config, fixed_eps)
-    return _last(path, on_step), 2 * config.n_avg * config.schedule.steps
+    # closed on any exit, so a queued fresh draw has finished before the run returns or raises
+    with closing(_flowedit_trajectory(field, z0, c_src, c_tar, config, fixed_eps)) as path:
+        return _last(path, on_step), 2 * config.n_avg * config.schedule.steps
 
 
 @dataclass(frozen=True)

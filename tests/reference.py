@@ -1,4 +1,4 @@
-"""Test-only references: a full-spectrum frequency split, a whole-stack high band, exact area pooling, two mixture posterior means, an evaluation counter, a metrics.txt reader."""
+"""Test-only references: a full-spectrum frequency split, a whole-stack high band, exact area pooling, two mixture posterior means, an eager fresh-noise flowedit, an evaluation counter, a metrics.txt reader."""
 
 from __future__ import annotations
 
@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from rcflow.engine import VelocityField
+from rcflow.engine import ConditionBundle, Schedule, VelocityField, euler_step, sample_noise
 from rcflow.errors import NumericError
 from rcflow.fields import MixtureDataset
-from rcflow.latent import LatentField
+from rcflow.latent import LatentField, lerp_noise
+from rcflow.rng import derive_seed
 
 
 def _high_bins(height: int, width: int, rho: float) -> np.ndarray:
@@ -137,6 +138,36 @@ def direct_posterior_mean(z: LatentField, t: float, data: MixtureDataset) -> Lat
     shifted = np.exp(exponents - peak)
     mean = np.tensordot(shifted / float(shifted.sum()), data.points, axes=(0, 0))
     return LatentField(mean)
+
+
+def eager_fresh_flowedit(
+    field: VelocityField,
+    z0: LatentField,
+    c_src: ConditionBundle,
+    c_tar: ConditionBundle,
+    schedule: Schedule,
+    n_avg: int,
+    seed: int,
+) -> LatentField:
+    """Fresh-noise flowedit with each noise drawn when it is used and the gaps summed from zeros.
+
+    Draw d of the step down from knot i is sample_noise(derive_seed(seed, i, d)).
+    Reference for flowedit_run in fresh mode, which queues each draw one
+    ahead and starts its sum from the first gap.
+    """
+    z = z0
+    knots = schedule.knots
+    for i in range(schedule.steps, 0, -1):
+        t_hi = knots[i]
+        displacement = z.data - z0.data
+        total = np.zeros(z0.data.shape)
+        for draw in range(n_avg):
+            z_t = lerp_noise(z0, sample_noise(derive_seed(seed, i, draw), z0.shape), t_hi)
+            v_tar = field.evaluate(LatentField(z_t.data + displacement), t_hi, c_tar)
+            v_src = field.evaluate(z_t, t_hi, c_src)
+            total += v_tar.data - v_src.data
+        z = euler_step(z, t_hi, knots[i - 1], LatentField(total / n_avg))
+    return z
 
 
 class CountingField(VelocityField):

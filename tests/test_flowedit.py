@@ -1,6 +1,10 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import rcflow.rng as rng
 from rcflow.edit import EditConfig, run_edit
 from rcflow.engine import (
     ConditionBundle,
@@ -14,13 +18,14 @@ from rcflow.fields import (
     ToyScene,
     constant_field,
     mixture_field,
+    point_field,
     render_target,
     scene_mixture_field,
 )
 from rcflow.flowedit import FlowEditConfig, NoiseMode, equivalence_check, flowedit_run
 from rcflow.latent import LatentField, Mask, Shape, rel_error
 
-from reference import CountingField
+from reference import CountingField, eager_fresh_flowedit
 
 SHAPE = Shape(2, 1, 16, 16)
 SRC = ConditionBundle(illum_params=(1.0, 0.0, 0.0, 0.2), agnostic_params=(5.0, 3.0, 0.5))
@@ -47,8 +52,12 @@ class DatasetSwitchField(VelocityField):
         return flow.evaluate(z, t, c)
 
 
-def independent_dataset(seed, count=3):
-    return MixtureDataset(tuple((1.0, sample_noise(seed + j, SHAPE)) for j in range(count)))
+def independent_dataset(seed, count=3, shape=SHAPE):
+    return MixtureDataset(tuple((1.0, sample_noise(seed + j, shape)) for j in range(count)))
+
+
+def fresh(steps, n_avg, seed=5):
+    return FlowEditConfig(make_uniform_schedule(steps), NoiseMode.FRESH_PER_STEP, n_avg, seed)
 
 
 class TestFlowEditRun:
@@ -115,6 +124,100 @@ class TestFlowEditRun:
         config = FlowEditConfig(schedule=make_uniform_schedule(4))
         with pytest.raises(NumericError, match="stepping to t=0.75"):
             flowedit_run(TargetOnly(), LatentField.full(shape, 1.7e308), SRC, TAR, config)
+
+
+class TestFreshDrawAhead:
+    """Fresh mode queues each draw one key ahead on rng's pool while the field runs."""
+
+    # 12,288 Box-Muller pairs: more than one block, so a draw splits into one chunk per worker
+    BIG = Shape(3, 2, 64, 64)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bits_equal_the_eager_reference(self, monkeypatch, workers):
+        monkeypatch.setattr(rng, "_WORKERS", workers)
+        # unrelated source and target mixtures: the noise does not cancel from the step
+        field = DatasetSwitchField(
+            SRC, independent_dataset(40, 2, self.BIG), independent_dataset(50, 2, self.BIG)
+        )
+        z0 = sample_noise(60, self.BIG)
+        for steps in (1, 7):
+            for n_avg in (1, 2, 3):
+                out, _ = flowedit_run(field, z0, SRC, TAR, fresh(steps, n_avg))
+                expected = eager_fresh_flowedit(field, z0, SRC, TAR, make_uniform_schedule(steps), n_avg, 5)
+                assert out.data.tobytes() == expected.data.tobytes(), (steps, n_avg)
+
+    @pytest.mark.parametrize("n_avg", [1, 2])
+    def test_negative_zero_gaps_sum_to_positive_zero(self, n_avg):
+        # every gap is -0.0 - 0.0 = -0.0; a sum started from zeros makes it +0.0, and only a
+        # +0.0 step moves z0's -0.0 to +0.0
+        class SignedZero(VelocityField):
+            def evaluate(self, z, t, c):
+                return LatentField.full(z.shape, -0.0 if c == TAR else 0.0)
+
+        z0 = LatentField.full(SHAPE, -0.0)
+        out, _ = flowedit_run(SignedZero(), z0, SRC, TAR, fresh(2, n_avg))
+        expected = eager_fresh_flowedit(SignedZero(), z0, SRC, TAR, make_uniform_schedule(2), n_avg, 5)
+        assert out.data.tobytes() == expected.data.tobytes()
+        assert not np.signbit(out.data).any()
+
+    @pytest.mark.parametrize("fails_in", ["field", "observer"])
+    def test_raises_only_after_the_queued_draw_finished(self, monkeypatch, fails_in):
+        monkeypatch.setattr(rng, "_WORKERS", 3)
+        fill_pairs = rng._fill_pairs
+        finished = []
+
+        def slow_fill_pairs(*args):
+            time.sleep(0.05)
+            fill_pairs(*args)
+            finished.append(args[2])
+
+        monkeypatch.setattr(rng, "_fill_pairs", slow_fill_pairs)
+        unfinished_at_failure = []
+
+        def fail():
+            unfinished_at_failure.append(9 - len(finished))
+            raise NumericError("failed mid-run")
+
+        # 3 steps, 3 draws of 3 chunks each; both fail while draw (1, 0) is queued: the field
+        # at step 2 (t = 2/3), the observer after it (t = 1/3)
+        class FailsAtStepTwo(VelocityField):
+            def evaluate(self, z, t, c):
+                if t < 0.9:
+                    fail()
+                return LatentField.zeros(z.shape)
+
+        def observe(t, z):
+            if t < 0.5:
+                fail()
+
+        z0 = LatentField.zeros(self.BIG)
+        if fails_in == "field":
+            field, on_step = FailsAtStepTwo(), None
+        else:
+            field, on_step = constant_field(z0), observe
+        with pytest.raises(NumericError, match="failed mid-run") as failure:
+            flowedit_run(field, z0, SRC, TAR, fresh(3, 1), on_step)
+        # read while `failure` holds the traceback: it keeps the run's frames alive, so a
+        # trajectory left open would not yet have been closed by garbage collection
+        assert unfinished_at_failure[0] > 0
+        assert len(finished) == 9
+
+    @pytest.mark.parametrize("n_avg,bound", [(1, 7), (2, 8)])
+    def test_step_memory_in_stacks(self, n_avg, bound):
+        shape = Shape(8, 4, 64, 64)
+        scene = ToyScene(shape)
+        field = point_field(scene)
+        z0 = render_target(scene, SRC)
+        config = fresh(5, n_avg)
+        flowedit_run(field, z0, SRC, TAR, config)  # builds and caches both conditions' datasets
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            flowedit_run(field, z0, SRC, TAR, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / z0.data.nbytes <= bound
 
 
 class TestEquivalence:

@@ -2,6 +2,7 @@ import hashlib
 import multiprocessing
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import rcflow.rng as rng
 from rcflow.latent import LatentField, Mask, hf_transfer
-from rcflow.rng import derive_seed, random_words, run_chunks, standard_normal, uniform_open
+from rcflow.rng import QueuedDraw, derive_seed, random_words, run_chunks, standard_normal, uniform_open
 
 # frozen stream head for seed 1; guards the cross-platform bit contract
 SEED1_WORDS = [
@@ -134,6 +135,38 @@ def test_run_chunks_raises_only_after_every_range_finished(monkeypatch, failing)
     with pytest.raises(ValueError, match=f"range {failing}"):
         run_chunks(task, 3)
     assert sorted(finished) == [lo for lo in range(3) if lo != failing]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_queued_draw_bits_equal_standard_normal(monkeypatch, workers):
+    monkeypatch.setattr(rng, "_WORKERS", workers)
+    for seed in (0, 2**64 - 1, 0x0123456789ABCDEF):
+        for count in (0, 1, BOUNDARY_COUNTS[0], BOUNDARY_COUNTS[-1], 100_003):
+            assert QueuedDraw(seed, count).result().tobytes() == standard_normal(seed, count).tobytes()
+
+
+def test_queued_draw_shares_the_pool_with_run_chunks(monkeypatch):
+    # the draw's chunks hold every pool thread while hf_transfer queues its ranges behind them
+    monkeypatch.setattr(rng, "_WORKERS", 3)
+    count = 2 * 3 * rng._BLOCK_PAIRS + 1
+    shape = (5, 2, 8, 8)
+    a, b = (LatentField(one_shot_standard_normal(seed, 640).reshape(shape)) for seed in (1, 2))
+    mask = Mask(np.full((5, 1, 8, 8), 0.5))
+    expected = hf_transfer(a, b, mask, 0.7, 0.6).data.tobytes()
+
+    results = []
+
+    def draw_around_transfer():
+        queued = QueuedDraw(7, count)
+        transferred = hf_transfer(a, b, mask, 0.7, 0.6).data.tobytes()
+        results.append((queued.result().tobytes(), transferred))
+
+    # a daemon caller, so a deadlock fails this test instead of hanging the whole test run
+    caller = threading.Thread(target=draw_around_transfer, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert results == [(one_shot_standard_normal(7, count).tobytes(), expected)]
 
 
 def test_concurrent_callers_get_their_own_bits(monkeypatch):
