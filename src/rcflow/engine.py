@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeMismatchError
-from .latent import LatentField, Shape, _numeric_stage, _require_same_shape
+from .latent import LatentField, Shape, _numeric_stage
 from .rng import standard_normal
 
 
@@ -113,27 +113,29 @@ def sample_noise(seed: int, shape: Shape) -> LatentField:
     return LatentField(values.reshape(shape.as_tuple()))
 
 
-def euler_step(z: LatentField, t_hi: float, t_lo: float, v: LatentField) -> LatentField:
-    """One explicit Euler update z + (t_hi - t_lo) * v."""
+def euler_step(z: LatentField, t_hi: float, t_lo: float, v: np.ndarray) -> LatentField:
+    """One explicit Euler update z + (t_hi - t_lo) * v, v the step velocity's values."""
     if not t_hi > t_lo:
         raise ValueError(f"step must move down in time, got {t_hi} -> {t_lo}")
-    _require_same_shape(z, v, "euler_step")
+    if v.shape != z.data.shape:
+        raise ShapeMismatchError(f"euler_step: shapes {z.data.shape} and {v.shape} differ")
     with _numeric_stage():
-        return LatentField(z.data + (t_hi - t_lo) * v.data)
+        return LatentField(z.data + (t_hi - t_lo) * v)
 
 
 def _trajectory(
     z: LatentField,
     schedule: Schedule,
-    velocity: Callable[[int, float, LatentField], np.ndarray | LatentField],
+    velocity: Callable[[int, float, LatentField], np.ndarray],
     what: str,
     after: Callable[[float, LatentField], LatentField] | None = None,
 ) -> Iterator[tuple[float, LatentField]]:
     """The Euler walk every driver takes: yields (t, z) at t=1 and after every step.
 
-    velocity(i, t_hi, z) gives the step velocity at knot i: raw values, or a
-    checked LatentField taken as it is. after(t_lo, z), when given, maps each
-    stepped latent. A non-finite result names `what` and the step's lower knot.
+    velocity(i, t_hi, z) gives the step velocity's values at knot i, unchecked:
+    with t_hi > t_lo and z finite, euler_step's result is non-finite wherever
+    v is. after(t_lo, z), when given, maps each stepped latent. A
+    non-finite result names `what` and the step's lower knot.
     """
     knots = schedule.knots
     yield float(knots[-1]), z
@@ -141,7 +143,7 @@ def _trajectory(
         t_hi, t_lo = knots[i], knots[i - 1]
         v = velocity(i, t_hi, z)
         with _numeric_stage(f"{what} became non-finite stepping to t={t_lo}"):
-            z = euler_step(z, t_hi, t_lo, v if isinstance(v, LatentField) else LatentField(v))
+            z = euler_step(z, t_hi, t_lo, v)
             del v  # released before `after`, where a step's memory peaks
             if after is not None:
                 z = after(t_lo, z)
@@ -170,5 +172,5 @@ def generate(
     Returns the sample and the number of field evaluations spent: exactly
     schedule.steps, one per step at the step's upper knot.
     """
-    path = _trajectory(eps, schedule, lambda i, t, z: checked_evaluate(field, z, t, c), "latent")
+    path = _trajectory(eps, schedule, lambda i, t, z: checked_evaluate(field, z, t, c).data, "latent")
     return _last(path, on_step), schedule.steps

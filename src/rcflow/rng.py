@@ -7,8 +7,10 @@ uint64 / float64 arithmetic, so identical (seed, shape) yields bit-identical
 output on every platform. numpy's own generators are deliberately not used
 here; their bit streams are not part of any compatibility contract.
 
-The module also owns the package's one thread pool, which run_chunks
-splits work across and QueuedDraw queues a draw on, to be collected later.
+The module also owns the package's one thread pool. Every draw is a
+QueuedDraw whose chunks are queued on it, collected at once by
+standard_normal or later by its caller; run_chunks splits other work,
+latent's frequency split and detail transfer, across it.
 """
 
 from __future__ import annotations
@@ -136,60 +138,50 @@ def _fill_pairs(seed: int, pairs: int, start: int, stop: int, out: np.ndarray, s
         np.multiply(radius, angle, out=out[2 * lo + 1 : 2 * (lo + n) : 2])
 
 
-def _chunked_draw(seed: int, count: int) -> tuple[np.ndarray, list[tuple]]:
-    """The output of a `count`-value draw and the _fill_pairs arguments of each of its chunks.
-
-    A draw of more than one block is split into one contiguous chunk per
-    CPU; the bits are the same for every CPU count. Each chunk's scratch is
-    allocated here, on the calling thread, so the pool's threads keep no heap
-    memory of their own.
-    """
-    pairs = (count + 1) // 2
-    out = np.empty(2 * pairs)
-    seed &= _MASK64
-    chunks = 1 if pairs <= _BLOCK_PAIRS else _WORKERS
-    bounds = [pairs * k // chunks for k in range(chunks + 1)]
-    scratch = np.empty((chunks, 5 * max(1, min(_BLOCK_PAIRS, pairs))), dtype=np.uint64)
-    return out, [(seed, pairs, bounds[k], bounds[k + 1], out, scratch[k]) for k in range(chunks)]
-
-
 def standard_normal(seed: int, count: int) -> np.ndarray:
     """`count` standard-normal float64 values via the Box-Muller transform.
 
     Pairs (u1, u2) are the first and second halves of a 2*ceil(count/2)
     uniform block; pair j yields r*cos and r*sin with r = sqrt(-2 ln u1).
-    run_chunks fills the draw's chunks block by block.
+    The draw is a QueuedDraw collected at once, so the calling thread waits
+    while the pool fills its chunks.
     """
-    out, chunks = _chunked_draw(seed, count)
-
-    def fill(lo: int, hi: int) -> None:
-        for k in range(lo, hi):
-            _fill_pairs(*chunks[k])
-
-    run_chunks(fill, len(chunks))
-    return out[:count]
+    return QueuedDraw(seed, count).result()
 
 
 class QueuedDraw:
     """A standard_normal draw whose chunks are queued on the shared pool.
 
-    Its memory is written until every chunk has finished: call result() for
-    the values, or wait() before dropping a draw that is no longer wanted.
+    A draw of more than one block is split into one contiguous chunk per
+    CPU; the bits are the same for every CPU count. Each chunk's scratch is
+    allocated on the calling thread, so the pool's threads keep no heap
+    memory of their own. Its memory is written until every chunk has
+    finished: call result() for the values, or wait() before dropping a
+    draw that is no longer wanted. As with run_chunks, a task that runs on
+    the pool must never wait on a draw: the chunks it waits on could be
+    queued behind it on the pool it occupies.
     """
 
     __slots__ = ("_futures", "_values")
 
     def __init__(self, seed: int, count: int):
-        out, chunks = _chunked_draw(seed, count)
+        pairs = (count + 1) // 2
+        out = np.empty(2 * pairs)
+        seed &= _MASK64
+        chunks = 1 if pairs <= _BLOCK_PAIRS else _WORKERS
+        bounds = [pairs * k // chunks for k in range(chunks + 1)]
+        scratch = np.empty((chunks, 5 * max(1, min(_BLOCK_PAIRS, pairs))), dtype=np.uint64)
         self._values = out[:count]
-        self._futures = [_POOL.submit(_fill_pairs, *args) for args in chunks]
+        self._futures = [
+            _POOL.submit(_fill_pairs, seed, pairs, bounds[k], bounds[k + 1], out, scratch[k]) for k in range(chunks)
+        ]
 
     def wait(self) -> None:
         """Block until no chunk runs or waits on the pool; raises nothing."""
         wait(self._futures)
 
     def result(self) -> np.ndarray:
-        """standard_normal(seed, count), bit for bit, once every chunk has finished."""
+        """The draw's `count` values, once every chunk has finished."""
         self.wait()
         for future in self._futures:
             future.result()

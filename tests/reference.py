@@ -166,7 +166,7 @@ def eager_fresh_flowedit(
             v_tar = field.evaluate(LatentField(z_t.data + displacement), t_hi, c_tar)
             v_src = field.evaluate(z_t, t_hi, c_src)
             total += v_tar.data - v_src.data
-        z = euler_step(z, t_hi, knots[i - 1], LatentField(total / n_avg))
+        z = euler_step(z, t_hi, knots[i - 1], total / n_avg)
     return z
 
 

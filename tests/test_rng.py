@@ -142,7 +142,7 @@ def test_queued_draw_bits_equal_standard_normal(monkeypatch, workers):
     monkeypatch.setattr(rng, "_WORKERS", workers)
     for seed in (0, 2**64 - 1, 0x0123456789ABCDEF):
         for count in (0, 1, BOUNDARY_COUNTS[0], BOUNDARY_COUNTS[-1], 100_003):
-            assert QueuedDraw(seed, count).result().tobytes() == standard_normal(seed, count).tobytes()
+            assert QueuedDraw(seed, count).result().tobytes() == one_shot_standard_normal(seed, count).tobytes()
 
 
 def test_queued_draw_shares_the_pool_with_run_chunks(monkeypatch):
