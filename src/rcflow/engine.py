@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeMismatchError
-from .latent import LatentField, Shape, _numeric_stage
+from .latent import LatentField, Shape, _noise_field, _numeric_stage
 from .rng import standard_normal
 
 
@@ -109,8 +109,7 @@ def checked_evaluate(
 
 def sample_noise(seed: int, shape: Shape) -> LatentField:
     """Standard-normal latent stack; bit-identical for equal (seed, shape)."""
-    values = standard_normal(seed, shape.count)
-    return LatentField(values.reshape(shape.as_tuple()))
+    return _noise_field(standard_normal(seed, shape.count), shape)
 
 
 def euler_step(z: LatentField, t_hi: float, t_lo: float, v: np.ndarray) -> LatentField:

@@ -28,7 +28,7 @@ from .engine import (
     euler_step,  # noqa: F401  unused here; perfbench/tracing.py rebinds it in this module
     sample_noise,
 )
-from .latent import LatentField, Mask, _numeric_stage, lerp_noise, rel_error
+from .latent import LatentField, Mask, _noise_field, _numeric_stage, lerp_noise, rel_error
 from .rng import QueuedDraw, derive_seed
 
 
@@ -88,7 +88,7 @@ def _flowedit_trajectory(
         values = queued.result()
         i, draw = (i, draw + 1) if draw + 1 < config.n_avg else (i - 1, 0)
         queued = QueuedDraw(derive_seed(config.seed, i, draw), shape.count) if i > 0 else None
-        return LatentField(values.reshape(shape.as_tuple()))
+        return _noise_field(values, shape)
 
     def velocity(i, t_hi, z_edit):
         # displacement first: when the edit latent still equals the input,

@@ -129,6 +129,20 @@ class LatentField(_FrozenStack):
         return float(np.max(np.abs(self.data)))
 
 
+def _noise_field(values: np.ndarray, shape: Shape) -> LatentField:
+    """rng's Gaussian noise, contiguous float64, as a read-only LatentField of `shape`.
+
+    It skips LatentField's finiteness pass: Box-Muller over uniforms in
+    [2**-53, 1 - 2**-53] gives |value| <= sqrt(106 ln 2) ~ 8.57, finite by
+    construction.
+    """
+    data = values.reshape(shape.as_tuple())
+    data.flags.writeable = False
+    field = object.__new__(LatentField)
+    object.__setattr__(field, "data", data)
+    return field
+
+
 class Mask(_FrozenStack):
     """Per-pixel weight in [0, 1] with a single channel axis.
 

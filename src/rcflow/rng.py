@@ -7,17 +7,22 @@ uint64 / float64 arithmetic, so identical (seed, shape) yields bit-identical
 output on every platform. numpy's own generators are deliberately not used
 here; their bit streams are not part of any compatibility contract.
 
-The module also owns the package's one thread pool. Every draw is a
-QueuedDraw whose chunks are queued on it, collected at once by
-standard_normal or later by its caller; run_chunks splits other work,
-latent's frequency split and detail transfer, across it.
+The module also owns the package's one thread pool, and its one rule:
+whoever waits on pool work runs every piece of it that no pool thread has
+claimed (_Pieces). Every draw is a QueuedDraw whose chunks are queued on
+the pool, collected at once by standard_normal or later by its caller;
+run_chunks splits other work, latent's frequency split and detail
+transfer, across it.
 """
 
 from __future__ import annotations
 
 import os
+import queue
+import threading
+from collections import deque
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,6 +33,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Box-Muller pairs per block: a block's buffers (320 KB) stay in a core's cache
 _BLOCK_PAIRS = 8192
+# blocks per chunk of a larger draw: pieces small enough that a waiter finds some unclaimed
+_CHUNK_BLOCKS = 8
 # (k + 1) * GAMMA for k < _BLOCK_PAIRS: counter offsets inside a block
 _BLOCK_STEPS = np.arange(1, _BLOCK_PAIRS + 1, dtype=np.uint64) * GAMMA
 _TWO_PI = 2.0 * np.pi
@@ -39,14 +46,114 @@ _UNIFORM_SHIFT = 1.0 - 2.0**-53
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _start_pool() -> None:
-    """Bind a fresh worker pool; it starts its threads on first use, not here.
+class _Pool:
+    """The package's one thread pool, and the queued work its threads help finish.
 
-    numpy releases the GIL inside its ufunc loops and FFTs, so the ranges
-    run_chunks hands the pool run in parallel.
+    It holds max(1, CPUs - 1) threads: the thread that waits on queued work
+    is the remaining worker, and runs every piece of it no pool thread has
+    claimed. The threads run _help tasks, which claim pieces of the oldest
+    open work; numpy releases the GIL inside its ufunc loops and FFTs, so
+    the pieces run in parallel.
     """
+
+    def __init__(self):
+        self.threads = max(1, _WORKERS - 1)
+        # the executor starts its threads on first use, not here
+        self.executor = ThreadPoolExecutor(max_workers=self.threads, thread_name_prefix="rcflow")
+        self.lock = threading.Lock()  # guards what follows, and every _Pieces' counts
+        self.finished = threading.Condition(self.lock)  # notified when the last piece of a _Pieces ends
+        self.open: deque[_Pieces] = deque()  # work with pieces nobody has claimed, oldest first
+        self.helpers = 0  # _help tasks submitted to the executor that have not returned
+
+    def offer(self, pieces: _Pieces) -> None:
+        """Queue the work of `pieces`, and submit helping tasks until min(threads, its pieces) are live."""
+        with self.lock:
+            self.open.append(pieces)
+            new = max(0, min(self.threads, len(pieces.args)) - self.helpers)
+            self.helpers += new
+        for _ in range(new):
+            self.executor.submit(self._help)
+
+    def _help(self) -> None:
+        """Run unclaimed pieces, the oldest work's first, until nobody has one left."""
+        while True:
+            with self.lock:
+                if not self.open:
+                    self.helpers -= 1
+                    return
+                pieces = self.open[0]
+                k = pieces.claim()
+            pieces.run(k)
+
+
+class _Pieces:
+    """Calls fn(*args), one per args tuple (at least one), queued on the shared pool as pieces.
+
+    The pool's threads claim pieces in order and run them. Whoever waits on
+    the work claims and runs every piece still unclaimed, then waits only on
+    the pieces a pool thread is running. A claimed piece leaves the pool's
+    queue at once, so the queue keeps nothing for work already done. Any
+    thread may wait, a task on the pool included: each piece it waits on is
+    already running, or run by itself, never queued behind it.
+    """
+
+    __slots__ = ("_pool", "fn", "args", "_claimed", "_finished", "_errors")
+
+    def __init__(self, fn: Callable[..., None], args: list[tuple]):
+        self._pool = _POOL
+        self.fn = fn
+        self.args = args
+        self._claimed = 0  # pieces [0, _claimed) are claimed, guarded by the pool's lock
+        self._finished = 0
+        self._errors: list[BaseException | None] = [None] * len(args)
+        self._pool.offer(self)
+
+    def claim(self) -> int:
+        """The next unclaimed piece; the caller holds the pool's lock and knows there is one."""
+        k = self._claimed
+        self._claimed += 1
+        if self._claimed == len(self.args):
+            self._pool.open.remove(self)
+        return k
+
+    def run(self, k: int) -> None:
+        """Run claimed piece k, holding its error as a future would."""
+        error = None
+        try:
+            self.fn(*self.args[k])
+        except BaseException as exc:  # raised by result(), on the waiting thread
+            error = exc
+        with self._pool.lock:
+            self._errors[k] = error
+            self._finished += 1
+            if self._finished == len(self.args):
+                self._pool.finished.notify_all()
+
+    def wait(self) -> None:
+        """Return once every piece has finished; raises nothing, result() raises."""
+        lock = self._pool.lock
+        while True:
+            with lock:
+                if self._claimed == len(self.args):
+                    break
+                k = self.claim()
+            self.run(k)
+        with lock:
+            while self._finished < len(self.args):
+                self._pool.finished.wait()
+
+    def result(self) -> None:
+        """Wait for every piece, then raise the first error in piece order, if any."""
+        self.wait()
+        error = next((e for e in self._errors if e is not None), None)
+        if error is not None:
+            raise error
+
+
+def _start_pool() -> None:
+    """Bind a fresh pool with no work queued."""
     global _POOL
-    _POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="rcflow")
+    _POOL = _Pool()
 
 
 _start_pool()
@@ -86,22 +193,15 @@ def uniform_open(seed: int, count: int) -> np.ndarray:
 def run_chunks(task: Callable[[int, int], None], stop: int) -> None:
     """Run task(lo, hi) over contiguous ranges that cover [0, stop), one range per CPU.
 
-    The first range runs on the calling thread, the rest on the shared pool.
-    It returns or raises only after every range has finished, so the ranges
-    may write into arrays the caller owns. A task that runs on the pool must
-    never call run_chunks itself: it would wait on ranges queued behind it
-    on the pool it occupies, and could deadlock.
+    The ranges are queued on the shared pool, and the calling thread runs
+    every range no pool thread has claimed. It returns or raises only after
+    every range has finished, so the ranges may write into arrays the caller
+    owns; it raises the first error in range order. Any thread may call it,
+    a task running on the pool included.
     """
     chunks = max(1, min(_WORKERS, stop))
     bounds = [stop * k // chunks for k in range(chunks + 1)]
-    futures = [_POOL.submit(task, bounds[k], bounds[k + 1]) for k in range(1, chunks)]
-    try:
-        task(bounds[0], bounds[1])
-    finally:
-        # the ranges write into the caller's arrays: never return or raise while one runs
-        wait(futures)
-    for future in futures:
-        future.result()
+    _Pieces(task, list(zip(bounds, bounds[1:]))).result()
 
 
 def _fill_pairs(seed: int, pairs: int, start: int, stop: int, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -149,42 +249,50 @@ def standard_normal(seed: int, count: int) -> np.ndarray:
     return QueuedDraw(seed, count).result()
 
 
+def _fill_chunk(seed: int, pairs: int, start: int, stop: int, out: np.ndarray, spares: queue.SimpleQueue) -> None:
+    """_fill_pairs over [start, stop) on a scratch block taken from spares, and given back."""
+    scratch = spares.get()
+    try:
+        _fill_pairs(seed, pairs, start, stop, out, scratch)
+    finally:
+        spares.put(scratch)
+
+
 class QueuedDraw:
     """A standard_normal draw whose chunks are queued on the shared pool.
 
-    A draw of more than one block is split into one contiguous chunk per
-    CPU; the bits are the same for every CPU count. Each chunk's scratch is
-    allocated on the calling thread, so the pool's threads keep no heap
-    memory of their own. Its memory is written until every chunk has
-    finished: call result() for the values, or wait() before dropping a
-    draw that is no longer wanted. As with run_chunks, a task that runs on
-    the pool must never wait on a draw: the chunks it waits on could be
-    queued behind it on the pool it occupies.
+    A draw of more than one block is cut into chunks of at most
+    _CHUNK_BLOCKS blocks, and into at least one chunk per CPU; the bits are
+    the same for every chunk bound and CPU count. The chunks share one
+    block of scratch per CPU, allocated on the calling thread, so the pool's
+    threads keep no heap memory of their own. The draw's memory is written
+    until every chunk has finished: call result() for the values, or wait()
+    before dropping a draw that is no longer wanted. Either one runs every
+    chunk no pool thread has claimed on the calling thread, so any thread
+    may wait on a draw, a task running on the pool included.
     """
 
-    __slots__ = ("_futures", "_values")
+    __slots__ = ("_chunks", "_values")
 
     def __init__(self, seed: int, count: int):
         pairs = (count + 1) // 2
         out = np.empty(2 * pairs)
         seed &= _MASK64
-        chunks = 1 if pairs <= _BLOCK_PAIRS else _WORKERS
+        chunks = 1 if pairs <= _BLOCK_PAIRS else max(_WORKERS, -(-pairs // (_CHUNK_BLOCKS * _BLOCK_PAIRS)))
         bounds = [pairs * k // chunks for k in range(chunks + 1)]
-        scratch = np.empty((chunks, 5 * max(1, min(_BLOCK_PAIRS, pairs))), dtype=np.uint64)
+        spares = queue.SimpleQueue()
+        for scratch in np.empty((min(chunks, _WORKERS), 5 * max(1, min(_BLOCK_PAIRS, pairs))), dtype=np.uint64):
+            spares.put(scratch)
         self._values = out[:count]
-        self._futures = [
-            _POOL.submit(_fill_pairs, seed, pairs, bounds[k], bounds[k + 1], out, scratch[k]) for k in range(chunks)
-        ]
+        self._chunks = _Pieces(_fill_chunk, [(seed, pairs, lo, hi, out, spares) for lo, hi in zip(bounds, bounds[1:])])
 
     def wait(self) -> None:
-        """Block until no chunk runs or waits on the pool; raises nothing."""
-        wait(self._futures)
+        """Return once every chunk has finished; raises nothing."""
+        self._chunks.wait()
 
     def result(self) -> np.ndarray:
         """The draw's `count` values, once every chunk has finished."""
-        self.wait()
-        for future in self._futures:
-            future.result()
+        self._chunks.result()
         return self._values
 
 

@@ -4,7 +4,7 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rcflow.rng as rng
-from rcflow.latent import LatentField, Mask, hf_transfer
+from rcflow.engine import sample_noise
+from rcflow.latent import LatentField, Mask, Shape, hf_transfer
 from rcflow.rng import QueuedDraw, derive_seed, random_words, run_chunks, standard_normal, uniform_open
 
 # frozen stream head for seed 1; guards the cross-platform bit contract
@@ -46,9 +47,9 @@ def one_shot_standard_normal(seed, count):
 
 
 def _boundary_counts():
-    """Counts whose pairs sit at a block or chunk boundary, and one off it, for 1 to 3 chunks."""
+    """Counts whose pairs sit at a block or chunk boundary, and one off it, for 1 to 4 chunks."""
     block = rng._BLOCK_PAIRS
-    edges = {block, 2 * block, 3 * block, 6 * block}
+    edges = {block, 2 * block, 3 * block, 6 * block, 3 * rng._CHUNK_BLOCKS * block}
     pairs = {p + d for p in edges for d in (-1, 0, 1)}
     return sorted({2 * p - odd for p in pairs for odd in (0, 1)})
 
@@ -143,6 +144,99 @@ def test_queued_draw_bits_equal_standard_normal(monkeypatch, workers):
     for seed in (0, 2**64 - 1, 0x0123456789ABCDEF):
         for count in (0, 1, BOUNDARY_COUNTS[0], BOUNDARY_COUNTS[-1], 100_003):
             assert QueuedDraw(seed, count).result().tobytes() == one_shot_standard_normal(seed, count).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_queued_draw_runs_the_chunks_no_pool_thread_claimed(monkeypatch, workers):
+    # every pool thread holds a blocker until `gate` opens, and a thread the pool starts later
+    # takes a queued blocker first: result() has to claim and fill every chunk itself
+    monkeypatch.setattr(rng, "_WORKERS", workers)
+    counts = (1, 100_003, 2 * 4 * rng._CHUNK_BLOCKS * rng._BLOCK_PAIRS + 1)
+    gate = threading.Event()
+    blockers = [rng._POOL.executor.submit(gate.wait, 60) for _ in range(rng._POOL.threads)]
+    results = []
+
+    def draw():
+        results.extend(QueuedDraw(seed, count).result().tobytes() for seed, count in enumerate(counts))
+
+    try:
+        # a daemon caller, so a draw left waiting fails this test instead of hanging the run
+        caller = threading.Thread(target=draw, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+    finally:
+        gate.set()
+        wait(blockers, timeout=60)
+    assert results == [one_shot_standard_normal(seed, count).tobytes() for seed, count in enumerate(counts)]
+
+
+def test_pool_tasks_may_wait_on_pool_work():
+    # more pool tasks than pool threads, each waiting on a draw and on ranges queued behind the
+    # others: each one runs its own pieces that no pool thread has claimed
+    count = 200_000
+    results = []
+
+    def task(seed):
+        ranges = []
+        values = standard_normal(seed, count).tobytes()
+        run_chunks(lambda lo, hi: ranges.append((lo, hi)), 5)
+        return values, sorted(ranges)
+
+    def submit_and_collect():
+        futures = [rng._POOL.executor.submit(task, seed) for seed in range(rng._WORKERS + 1)]
+        results.extend(future.result() for future in futures)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        # a daemon caller, so a deadlock fails this test instead of hanging the whole test run
+        caller = threading.Thread(target=submit_and_collect, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    chunks = max(1, min(rng._WORKERS, 5))
+    ranges = [(5 * k // chunks, 5 * (k + 1) // chunks) for k in range(chunks)]
+    assert results == [(one_shot_standard_normal(seed, count).tobytes(), ranges) for seed in range(rng._WORKERS + 1)]
+
+
+def _word_seed(word, counter):
+    """A seed whose splitmix64 stream holds `word` at `counter`: the finalizer inverted."""
+    full = 2**64
+
+    def unshift(y, shift):
+        x = y
+        for _ in range(64 // shift):
+            x = y ^ (x >> shift)
+        return x
+
+    x = unshift(word, 31)
+    x = unshift(x * pow(int(rng._MIX2), -1, full) % full, 27)
+    x = unshift(x * pow(int(rng._MIX1), -1, full) % full, 30)
+    seed = (x - counter * int(rng.GAMMA)) % full
+    assert random_words(seed, counter)[-1] == word
+    return seed
+
+
+@pytest.mark.parametrize("counter", [1, 2])
+@pytest.mark.parametrize("word", [0, 2**64 - 1])
+def test_noise_is_finite_at_the_extreme_uniforms(word, counter):
+    # a 2-value draw takes u1 from counter 1 and u2 from counter 2; word 0 gives the uniform
+    # 2**-53 and word 2**64 - 1 gives 1 - 2**-53, so the radius reaches its largest value
+    # sqrt(-2 ln 2**-53) = sqrt(106 ln 2); sample_noise skips the finiteness pass on this bound
+    seed = _word_seed(word, counter)
+    bound = np.sqrt(-2.0 * np.log(2.0**-53))
+    assert bound == np.sqrt(106 * np.log(2.0)) < 8.58
+    noise = sample_noise(seed, Shape(1, 1, 1, 2))
+    values = noise.data.ravel()
+    assert np.all(np.isfinite(values))
+    assert np.max(np.abs(values)) <= bound
+    if (word, counter) == (0, 1):
+        assert np.hypot(*values) == pytest.approx(bound, rel=1e-15)
+    assert not noise.data.flags.writeable
+    assert noise == LatentField(one_shot_standard_normal(seed, 2).reshape(1, 1, 1, 2))
 
 
 def test_queued_draw_shares_the_pool_with_run_chunks(monkeypatch):
