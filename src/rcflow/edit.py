@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .engine import (
     ConditionBundle,
     Schedule,
@@ -28,8 +30,8 @@ from .engine import (
     euler_step,  # noqa: F401  unused here; perfbench/tracing.py rebinds it in this module
 )
 from .latent import (
-    LatentField, Mask, _numeric_stage, _require_mask_fits, _require_same_shape, _require_unit, hf_transfer,
-    lerp_noise, rms,
+    LatentField, Mask, _elementwise, _finite_field, _numeric_stage, _require_mask_fits, _require_same_shape,
+    _require_unit, hf_transfer, lerp_noise, rms,
 )
 
 
@@ -87,8 +89,13 @@ def consistency_residual(
         raise ValueError(f"t must lie in (0, 1], got {t}")
     z_t = lerp_noise(z0, eps, t)
     v_src = checked_evaluate(field, z_t, t, c_src)
+
+    def gap(frames, out):
+        np.subtract(z0.data[frames], eps.data[frames], out=out)
+        np.subtract(out, v_src.data[frames], out=out)
+
     with _numeric_stage(f"residual became non-finite at t={t}"):
-        return LatentField((z0.data - eps.data) - v_src.data)
+        return _finite_field(_elementwise(z0.data.shape, gap))
 
 
 def run_edit(
@@ -126,8 +133,13 @@ def run_edit(
         else:
             residual_norms.append(residual_norms[-1])
         v_tar = checked_evaluate(field, z_edit, t_hi, c_tar)
-        with _numeric_stage():
-            return v_tar.data + config.mask.data * residual.data
+
+        def correct(frames, out):
+            np.multiply(config.mask.data[frames], residual.data[frames], out=out)
+            np.add(v_tar.data[frames], out, out=out)
+
+        # unchecked: the step's euler_step rejects a non-finite velocity under the step's name
+        return _elementwise(v_tar.data.shape, correct, checked=False)
 
     def transfer(t_lo, z_edit):
         source = lerp_noise(z0, eps, t_lo)

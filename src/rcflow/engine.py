@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeMismatchError
-from .latent import LatentField, Shape, _noise_field, _numeric_stage
+from .latent import LatentField, Shape, _elementwise, _finite_field, _noise_field, _numeric_stage
 from .rng import standard_normal
 
 
@@ -118,8 +118,13 @@ def euler_step(z: LatentField, t_hi: float, t_lo: float, v: np.ndarray) -> Laten
         raise ValueError(f"step must move down in time, got {t_hi} -> {t_lo}")
     if v.shape != z.data.shape:
         raise ShapeMismatchError(f"euler_step: shapes {z.data.shape} and {v.shape} differ")
-    with _numeric_stage():
-        return LatentField(z.data + (t_hi - t_lo) * v)
+    dt = t_hi - t_lo
+
+    def step(frames, out):
+        np.multiply(dt, v[frames], out=out)
+        np.add(z.data[frames], out, out=out)
+
+    return _finite_field(_elementwise(z.data.shape, step))
 
 
 def _trajectory(

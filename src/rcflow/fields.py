@@ -24,7 +24,9 @@ import numpy as np
 
 from .engine import ConditionBundle, VelocityField, sample_noise
 from .errors import ShapeMismatchError
-from .latent import LatentField, Mask, Shape, _numeric_stage, _require_same_shape, freq_decompose
+from .latent import (
+    LatentField, Mask, Shape, _elementwise, _finite_field, _numeric_stage, _require_same_shape, freq_decompose,
+)
 from .rng import derive_seed, uniform_open
 
 AGNOSTIC_ARITY = 3  # (pattern_seed, blob_count, motion)
@@ -283,7 +285,12 @@ class _MixtureField(VelocityField):
             )
         with _numeric_stage():
             mean = _posterior_mean_stable(z.data, t, data)
-            return LatentField((mean - z.data) / t)
+
+        def toward_mean(frames, out):
+            np.subtract(mean[frames], z.data[frames], out=out)
+            np.divide(out, t, out=out)
+
+        return _finite_field(_elementwise(z.data.shape, toward_mean))
 
 
 def mixture_field(data: MixtureDataset) -> VelocityField:

@@ -28,7 +28,9 @@ from .engine import (
     euler_step,  # noqa: F401  unused here; perfbench/tracing.py rebinds it in this module
     sample_noise,
 )
-from .latent import LatentField, Mask, _noise_field, _numeric_stage, lerp_noise, rel_error
+from .latent import (
+    LatentField, Mask, _elementwise, _finite_field, _noise_field, _numeric_stage, lerp_noise, rel_error,
+)
 from .rng import QueuedDraw, derive_seed
 
 
@@ -96,10 +98,14 @@ def _flowedit_trajectory(
         # cancel identically under equal conditions
         displacement = z_edit.data - z0.data
         total = None
+
+        def shift(frames, out):  # z_t + displacement: the predicted target point
+            np.add(z_t.data[frames], displacement[frames], out=out)
+
         # each stack is dropped once dead, so a step holds as few as it can
         for draw in range(config.n_avg):
             z_t = lerp_noise(z0, noise(i, draw), t_hi)
-            z_pred = LatentField(z_t.data + displacement)
+            z_pred = _finite_field(_elementwise(z_t.data.shape, shift))
             v_tar = checked_evaluate(field, z_pred, t_hi, c_tar)
             del z_pred
             v_src = checked_evaluate(field, z_t, t_hi, c_src)

@@ -11,8 +11,8 @@ The module also owns the package's one thread pool, and its one rule:
 whoever waits on pool work runs every piece of it that no pool thread has
 claimed (_Pieces). Every draw is a QueuedDraw whose chunks are queued on
 the pool, collected at once by standard_normal or later by its caller;
-run_chunks splits other work, latent's frequency split and detail
-transfer, across it.
+run_chunks splits other work across it: latent's frequency split and
+detail transfer, and its elementwise stages while the pool is idle.
 """
 
 from __future__ import annotations
@@ -63,7 +63,13 @@ class _Pool:
         self.lock = threading.Lock()  # guards what follows, and every _Pieces' counts
         self.finished = threading.Condition(self.lock)  # notified when the last piece of a _Pieces ends
         self.open: deque[_Pieces] = deque()  # work with pieces nobody has claimed, oldest first
+        self.running = 0  # pieces claimed that have not finished
         self.helpers = 0  # _help tasks submitted to the executor that have not returned
+
+    def idle(self) -> bool:
+        """Whether no work is queued and no piece runs, so work split now has every CPU to itself."""
+        with self.lock:
+            return not self.open and not self.running
 
     def offer(self, pieces: _Pieces) -> None:
         """Queue the work of `pieces`, and submit helping tasks until min(threads, its pieces) are live."""
@@ -112,6 +118,7 @@ class _Pieces:
         """The next unclaimed piece; the caller holds the pool's lock and knows there is one."""
         k = self._claimed
         self._claimed += 1
+        self._pool.running += 1
         if self._claimed == len(self.args):
             self._pool.open.remove(self)
         return k
@@ -126,6 +133,7 @@ class _Pieces:
         with self._pool.lock:
             self._errors[k] = error
             self._finished += 1
+            self._pool.running -= 1
             if self._finished == len(self.args):
                 self._pool.finished.notify_all()
 
@@ -194,12 +202,16 @@ def run_chunks(task: Callable[[int, int], None], stop: int) -> None:
     """Run task(lo, hi) over contiguous ranges that cover [0, stop), one range per CPU.
 
     The ranges are queued on the shared pool, and the calling thread runs
-    every range no pool thread has claimed. It returns or raises only after
-    every range has finished, so the ranges may write into arrays the caller
-    owns; it raises the first error in range order. Any thread may call it,
-    a task running on the pool included.
+    every range no pool thread has claimed; a single range it runs itself.
+    It returns or raises only after every range has finished, so the ranges
+    may write into arrays the caller owns; it raises the first error in
+    range order. Any thread may call it, a task running on the pool
+    included.
     """
     chunks = max(1, min(_WORKERS, stop))
+    if chunks == 1:
+        task(0, stop)
+        return
     bounds = [stop * k // chunks for k in range(chunks + 1)]
     _Pieces(task, list(zip(bounds, bounds[1:]))).result()
 

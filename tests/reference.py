@@ -1,4 +1,4 @@
-"""Test-only references: a full-spectrum frequency split, a whole-stack high band, exact area pooling, two mixture posterior means, an eager fresh-noise flowedit, an evaluation counter, a metrics.txt reader."""
+"""Test-only references: a full-spectrum frequency split, a whole-stack high band, exact area pooling, two mixture posterior means, an eager fresh-noise flowedit, the elementwise stages as one expression each, an evaluation counter, a metrics.txt reader."""
 
 from __future__ import annotations
 
@@ -167,6 +167,67 @@ def eager_fresh_flowedit(
             v_src = field.evaluate(z_t, t_hi, c_src)
             total += v_tar.data - v_src.data
         z = euler_step(z, t_hi, knots[i - 1], total / n_avg)
+    return z
+
+
+def lerp_expression(z0: np.ndarray, eps: np.ndarray, t: float) -> np.ndarray:
+    """lerp_noise's one-expression form, endpoints included."""
+    if t == 0.0:
+        return z0
+    if t == 1.0:
+        return eps
+    return (1.0 - t) * z0 + t * eps
+
+
+def euler_expression(z: np.ndarray, t_hi: float, t_lo: float, v: np.ndarray) -> np.ndarray:
+    """euler_step's one-expression form."""
+    return z + (t_hi - t_lo) * v
+
+
+def mixture_velocity_expression(mean: np.ndarray, z: np.ndarray, t: float) -> np.ndarray:
+    """The mixture field's velocity toward its posterior mean, as one expression."""
+    return (mean - z) / t
+
+
+def residual_expression(z0: np.ndarray, eps: np.ndarray, v_src: np.ndarray) -> np.ndarray:
+    """consistency_residual's one-expression form, given the source prediction."""
+    return (z0 - eps) - v_src
+
+
+def expression_edit(field, z0, c_src, c_tar, eps, mask, knots, r) -> np.ndarray:
+    """run_edit without detail transfer, each elementwise stage written as its one expression.
+
+    The reference for the bits of run_edit's stages split by frame range:
+    lerp_noise, the consistency residual, the corrected velocity
+    v_tar + mask * residual and the Euler step. field.evaluate is called as
+    run_edit calls it.
+    """
+    z = eps.data
+    steps = len(knots) - 1
+    for i in range(steps, 0, -1):
+        t_hi, t_lo = knots[i], knots[i - 1]
+        if (steps - i) % r == 0:
+            z_t = lerp_expression(z0.data, eps.data, t_hi)
+            residual = residual_expression(z0.data, eps.data, field.evaluate(LatentField(z_t), t_hi, c_src).data)
+        v_tar = field.evaluate(LatentField(z), t_hi, c_tar).data
+        z = euler_expression(z, t_hi, t_lo, v_tar + mask.data * residual)
+    return z
+
+
+def expression_flowedit(field, z0, c_src, c_tar, eps, knots) -> np.ndarray:
+    """Fixed-noise flowedit_run, each elementwise stage written as its one expression.
+
+    The reference for the bits of its predicted point z_t + displacement, of
+    lerp_noise and of the Euler step, split by frame range.
+    """
+    z = z0.data
+    for i in range(len(knots) - 1, 0, -1):
+        t_hi, t_lo = knots[i], knots[i - 1]
+        displacement = z - z0.data
+        z_t = lerp_expression(z0.data, eps.data, t_hi)
+        v_tar = field.evaluate(LatentField(z_t + displacement), t_hi, c_tar).data
+        v_src = field.evaluate(LatentField(z_t), t_hi, c_src).data
+        z = euler_expression(z, t_hi, t_lo, (0.0 + (v_tar - v_src)) / 1)
     return z
 
 

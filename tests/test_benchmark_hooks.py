@@ -81,6 +81,7 @@ def test_benchmark_hooks_resolve(tmp_path):
     mixture = counts["generate-mixture"]
     assert (mixture["freq_decompose"], mixture["sample_noise"]) == (2, 3)
     assert mixture["fft_transforms"] == 2 * 2 * 2
-    # its dataset stacks the components without building a field per row, and its noise and
-    # perturbations are wrapped without a LatentField construction
-    assert mixture["latent_fields"] == 47
+    # its dataset stacks the components without building a field per row; its noise, its
+    # perturbations' split and every step's stages are wrapped without a LatentField construction,
+    # so the render and the two perturbed components are the only ones
+    assert mixture["latent_fields"] == 3

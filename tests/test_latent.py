@@ -1,5 +1,9 @@
+import threading
 import time
+import tracemalloc
 import warnings
+from concurrent.futures import wait
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -8,11 +12,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal, assert_array_max_ulp
 
+import rcflow.latent as latent
 import rcflow.rng as rng
-from rcflow.edit import EditConfig, run_edit
-from rcflow.engine import ConditionBundle, make_uniform_schedule
+from rcflow.edit import EditConfig, consistency_residual, run_edit
+from rcflow.engine import (
+    ConditionBundle, Schedule, VelocityField, euler_step, generate, make_uniform_schedule, sample_noise,
+)
 from rcflow.errors import NumericError, ShapeMismatchError
-from rcflow.fields import constant_field
+from rcflow.fields import MixtureDataset, _posterior_mean_stable, constant_field, mixture_field
+from rcflow.flowedit import FlowEditConfig, flowedit_run
 from rcflow.latent import (
     LatentField,
     Mask,
@@ -25,9 +33,12 @@ from rcflow.latent import (
     rel_error,
     rms,
 )
-from rcflow.rng import standard_normal
+from rcflow.rng import QueuedDraw, standard_normal
 
-from reference import exact_area_pool, full_spectrum_split, whole_stack_high_band
+from reference import (
+    euler_expression, exact_area_pool, expression_edit, expression_flowedit, full_spectrum_split, lerp_expression,
+    mixture_velocity_expression, residual_expression, whole_stack_high_band,
+)
 
 
 def field_from(values, shape):
@@ -343,6 +354,188 @@ def test_band_operator_overflow_warns_on_no_worker(monkeypatch):
             hf_transfer(huge, LatentField(-huge.data), Mask.ones(huge.shape), 1.0, 0.5)
         with pytest.raises(NumericError, match="non-finite"):
             freq_decompose(huge, 0.5)
+
+
+def signed_field(seed, shape):
+    """Gaussian values with every fifth one -0.0, at the same places for every seed."""
+    values = random_field(seed, shape).data.copy()
+    values.reshape(-1)[::5] = -0.0
+    return LatentField(values)
+
+
+class AffineField(VelocityField):
+    """v = 0.5 z + gain: elementwise arithmetic of the test's own, so only rcflow's stages split."""
+
+    def evaluate(self, z, t, c):
+        return LatentField(0.5 * z.data + c.illum_params[0])
+
+
+SRC_GAIN, TAR_GAIN = ConditionBundle(illum_params=(0.25,)), ConditionBundle(illum_params=(-1.5,))
+
+
+def stage_bits(frames):
+    """Each elementwise stage as (its bits, its one-expression form's bits), on -0.0-salted inputs."""
+    shape = (frames, 2, 4, 6)
+    a, b, c = (signed_field(seed, shape) for seed in (60, 61, 62))
+    mask = Mask(np.abs(signed_field(63, (frames, 1, 4, 6)).data) % 1.0)
+    data = MixtureDataset(((1.0, b), (3.0, c)))
+    knots = Schedule([0.0, 0.3, 0.55, 1.0]).knots
+    edit = EditConfig(Schedule(knots), mask, reuse_interval=2, hf_lambda=0.0)
+    fixed = FlowEditConfig(Schedule(knots), seed=5)
+    noise = sample_noise(5, Shape(*shape))
+    return {
+        "lerp_noise": lambda: (lerp_noise(a, b, 0.3).data, lerp_expression(a.data, b.data, 0.3)),
+        "euler_step": lambda: (euler_step(a, 0.55, 0.3, b.data).data, euler_expression(a.data, 0.55, 0.3, b.data)),
+        "mixture velocity": lambda: (
+            mixture_field(data).evaluate(a, 0.4, SRC_GAIN).data,
+            mixture_velocity_expression(_posterior_mean_stable(a.data, 0.4, data), a.data, 0.4),
+        ),
+        "consistency_residual": lambda: (
+            consistency_residual(constant_field(c), a, b, 0.4, SRC_GAIN).data,
+            residual_expression(a.data, b.data, c.data),
+        ),
+        "run_edit": lambda: (
+            run_edit(AffineField(), a, SRC_GAIN, TAR_GAIN, b, edit).output.data,
+            expression_edit(AffineField(), a, SRC_GAIN, TAR_GAIN, b, mask, knots, 2),
+        ),
+        "flowedit_run": lambda: (
+            flowedit_run(AffineField(), a, SRC_GAIN, TAR_GAIN, fixed)[0].data,
+            expression_flowedit(AffineField(), a, SRC_GAIN, TAR_GAIN, noise, knots),
+        ),
+    }
+
+
+@contextmanager
+def busy_pool():
+    """Every pool thread blocked on an Event, with a draw queued behind them: the pool is not idle."""
+    gate, started = threading.Event(), threading.Semaphore(0)
+
+    def block():
+        started.release()
+        gate.wait(60)
+
+    blockers = [rng._POOL.executor.submit(block) for _ in range(rng._POOL.threads)]
+    for _ in blockers:
+        # a helping task queued earlier may still run first: the draw is queued once every thread blocks
+        assert started.acquire(timeout=60)
+    count = 3 * rng._BLOCK_PAIRS
+    queued = QueuedDraw(7, count)
+    assert not rng._POOL.idle()
+    try:
+        yield
+    finally:
+        gate.set()
+        wait(blockers, timeout=60)
+        drawn = queued.result()
+    assert drawn.tobytes() == standard_normal(7, count).tobytes()
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """The stop of every run_chunks call an elementwise stage makes."""
+    stops = []
+
+    def counted_run_chunks(task, stop):
+        stops.append(stop)
+        rng.run_chunks(task, stop)
+
+    monkeypatch.setattr(latent, "run_chunks", counted_run_chunks)
+    return stops
+
+
+@pytest.mark.parametrize("mode", ["below-floor", "split", "busy-pool"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("frames", [1, 2, 3, 5])
+def test_elementwise_stages_keep_their_expression_bits(monkeypatch, splits, mode, workers, frames):
+    # the stages split by frame range where the pool is idle and the stack is large enough (here,
+    # with the floor at 1 value), and run whole otherwise: the bits are the expression's either way
+    monkeypatch.setattr(rng, "_WORKERS", workers)
+    if mode != "below-floor":
+        monkeypatch.setattr(latent, "_SPLIT_FLOOR", 1)
+    stages = stage_bits(frames)
+    with busy_pool() if mode == "busy-pool" else nullcontext():
+        for name, stage in stages.items():
+            splits.clear()
+            computed, expected = stage()
+            assert computed.tobytes() == expected.tobytes(), name
+            assert bool(splits) == (mode == "split"), name
+
+
+def test_split_stages_allocate_only_the_callers_stacks(monkeypatch, splits):
+    # a stack at the floor, in two ranges, one on the pool's thread: no thread allocates a stack, or a
+    # range of one, beyond the output and the scratch the calling thread allocated; checking a range
+    # takes at most its boolean mask
+    monkeypatch.setattr(rng, "_WORKERS", 2)
+    shape = (4, 4, 128, 128)
+    z, v = random_field(64, shape), random_field(65, shape)
+    stack = z.data.nbytes
+    range_mask = z.data.size // 2  # one range's boolean mask, in bytes
+    for run, stacks in ((lambda: lerp_noise(z, v, 0.3), 2), (lambda: euler_step(z, 0.5, 0.25, v.data), 1)):
+        assert rng._POOL.idle()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert result.data.nbytes == stack
+        assert peak <= stacks * stack + range_mask, (peak - stacks * stack) / range_mask
+    assert splits == [4, 4]
+
+
+@pytest.mark.parametrize("stage", ["euler_step", "lerp_noise"])
+def test_a_range_that_overflows_raises_after_every_range(monkeypatch, stage):
+    # three ranges of one frame; the first holds the failure, the other two check their values slowly
+    monkeypatch.setattr(rng, "_WORKERS", 3)
+    monkeypatch.setattr(latent, "_SPLIT_FLOOR", 1)
+    shape = (3, 1, 4, 4)
+    big = np.zeros(shape)
+    big[0, 0, 0, :2] = (1e308, -1e308)
+    if stage == "euler_step":
+        # z + dt * v: 1e308 + 1e308 overflows, in the last (and only) step of generate
+        field, z = constant_field(LatentField(big)), LatentField(big)
+        run = lambda: generate(field, ConditionBundle(), z, make_uniform_schedule(1))
+        message = "latent became non-finite stepping to t=0.0"
+    else:
+        # a convex combination of finite values does not overflow: the input carries the infinities,
+        # wrapped without LatentField's check, as an overflow upstream would leave them
+        infinite = big.copy()
+        infinite[0, 0, 0, :2] = (np.inf, -np.inf)
+        z0, eps = latent._finite_field(infinite), LatentField(big)
+        run = lambda: lerp_noise(z0, eps, 0.5)
+        message = "field contains non-finite values"
+    checked = []
+    require_finite = latent._require_finite
+
+    def slow_check(values):
+        if np.all(np.isfinite(values)):
+            time.sleep(0.1)
+        try:
+            require_finite(values)
+        finally:
+            checked.append(values.shape)
+
+    monkeypatch.setattr(latent, "_require_finite", slow_check)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError, match=message):
+            run()
+    assert not caught
+    assert checked == [(1, 1, 4, 4)] * 3
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_finite_values_whose_sum_overflows_pass_the_check(monkeypatch, split):
+    # each range sums its values first: an infinite sum of finite values takes the exact test
+    monkeypatch.setattr(rng, "_WORKERS", 2)
+    if split:
+        monkeypatch.setattr(latent, "_SPLIT_FLOOR", 1)
+    huge = LatentField(np.full((2, 1, 2, 2), 1.5e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lerp_noise(huge, LatentField(-huge.data), 0.25) == LatentField(np.full((2, 1, 2, 2), 0.75e308))
+        assert euler_step(huge, 1.0, 0.5, np.zeros((2, 1, 2, 2))) == huge
 
 
 class TestDownsampleMask:
