@@ -30,7 +30,7 @@ from .engine import (
     euler_step,  # noqa: F401  unused here; perfbench/tracing.py rebinds it in this module
 )
 from .latent import (
-    LatentField, Mask, _elementwise, _finite_field, _numeric_stage, _require_mask_fits, _require_same_shape,
+    LatentField, Mask, PathPoint, _elementwise, _finite_field, _numeric_stage, _require_mask_fits, _require_same_shape,
     _require_unit, hf_transfer, lerp_noise, rms,
 )
 
@@ -142,7 +142,7 @@ def run_edit(
         return _elementwise(v_tar.data.shape, correct, checked=False)
 
     def transfer(t_lo, z_edit):
-        source = lerp_noise(z0, eps, t_lo)
+        source = PathPoint(z0, eps, t_lo)  # built frame by frame inside the transfer
         return hf_transfer(z_edit, source, config.mask, config.hf_lambda, config.hf_rho)
 
     after = transfer if config.hf_lambda > 0 else None

@@ -8,8 +8,12 @@ stage numpy warns of nothing, an overflow is inf that LatentField rejects,
 and the NumericError names the stage. A metric beyond float64 is a
 NumericError too.
 
-The frequency split and the detail transfer run one frame at a time, the
-frames split across CPUs by rng.run_chunks on the noise's thread pool.
+The frequency split and the detail transfer run one frame at a time
+through one band operator, _high_band, the frames split across CPUs by
+rng.run_chunks on the noise's thread pool. It transforms the rows in full
+and the columns only where the HIGH band has bins (a band below rho =
+1/sqrt(2) has one in every column), and the transfer builds its source
+frame by frame when given an unbuilt PathPoint.
 Each step's full-stack elementwise stages (lerp_noise, engine.euler_step,
 the mixture field's velocity, run_edit's corrected velocity, the
 consistency residual and flowedit's predicted point) go through
@@ -38,6 +42,8 @@ from .rng import run_chunks
 
 # a stack of fewer values is never split: a hand-off to the pool costs more than such a stage takes
 _SPLIT_FLOOR = 1 << 18
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -272,32 +278,57 @@ def _require_unit(value: float, name: str) -> float:
     return value
 
 
-def lerp_noise(z0: LatentField, eps: LatentField, t: float) -> LatentField:
-    """Straight-line interpolation (1-t)*z0 + t*eps; exact at both endpoints."""
-    _require_same_shape(z0, eps, "lerp_noise")
-    t = _require_unit(t, "t")
-    if t == 0.0:
-        return z0
-    if t == 1.0:
-        return eps
+@dataclass(frozen=True)
+class PathPoint:
+    """The straight-path point (1-t)*z0 + t*eps, not yet built.
 
-    def lerp(frames, out, spare):
-        np.multiply(1.0 - t, z0.data[frames], out=out)
-        np.multiply(t, eps.data[frames], out=spare)
+    lerp_noise builds it as a whole stack; hf_transfer takes it as a source
+    and builds one frame at a time inside its own ranges. Both write frames
+    through `write`, so the lerp has one form. At t = 0 and t = 1 the point
+    is z0 or eps itself, with those values' bits (`endpoint`).
+    """
+
+    z0: LatentField
+    eps: LatentField
+    t: float
+
+    def __post_init__(self) -> None:
+        _require_same_shape(self.z0, self.eps, "lerp_noise")
+        object.__setattr__(self, "t", _require_unit(self.t, "t"))
+
+    @property
+    def endpoint(self) -> LatentField | None:
+        """z0 at t = 0, eps at t = 1, and None in between."""
+        return self.z0 if self.t == 0.0 else self.eps if self.t == 1.0 else None
+
+    def write(self, frames, out: np.ndarray, spare: np.ndarray) -> None:
+        """Write the point's `frames` into out, with spare holding t*eps: an _elementwise kernel."""
+        np.multiply(1.0 - self.t, self.z0.data[frames], out=out)
+        np.multiply(self.t, self.eps.data[frames], out=spare)
         np.add(out, spare, out=out)
 
-    return _finite_field(_elementwise(z0.data.shape, lerp, scratch=True))
+
+def lerp_noise(z0: LatentField, eps: LatentField, t: float) -> LatentField:
+    """Straight-line interpolation (1-t)*z0 + t*eps; exact at both endpoints."""
+    point = PathPoint(z0, eps, t)
+    if point.endpoint is not None:
+        return point.endpoint
+    return _finite_field(_elementwise(z0.data.shape, point.write, scratch=True))
 
 
 @lru_cache(maxsize=None)
-def _high_half_bins(height: int, width: int, rho: float) -> np.ndarray:
-    """Read-only HIGH-band mask over the rfft2 half spectrum (width//2 + 1 columns).
+def _high_half_bins(height: int, width: int, rho: float) -> tuple[int, np.ndarray]:
+    """(first, high): the HIGH band over the rfft2 half spectrum (width//2 + 1 columns).
 
     Per axis of length n, bin k has normalized frequency min(k, n-k)/(n//2);
     a length-1 axis contributes zero. A bin is HIGH where the Euclidean norm
     of its two frequencies exceeds rho times the largest, so the DC bin
     never is. The band is symmetric under k -> n-k, so the half spectrum
-    carries all of it.
+    carries all of it. high is the read-only mask; first is the first
+    column holding a HIGH bin, or 0 when none does, so an empty band takes
+    the whole transform pair. On frames more than one row tall, first is 0
+    for every rho below 1/sqrt(2) too: the Nyquist row's bin in column 0 is
+    then HIGH, so such a band takes every column and nothing is pruned.
     """
 
     def axis_freq(n: int) -> np.ndarray:
@@ -307,38 +338,75 @@ def _high_half_bins(height: int, width: int, rho: float) -> np.ndarray:
     radial = np.hypot(axis_freq(height)[:, None], axis_freq(width)[None, :])
     high = (radial > rho * radial.max())[:, : width // 2 + 1]
     high.flags.writeable = False
-    return high
+    columns = np.flatnonzero(high.any(axis=0))
+    return (int(columns[0]) if columns.size else 0), high
 
 
-def _high_band(spectrum: np.ndarray, high: np.ndarray, size: tuple[int, int]) -> np.ndarray:
-    """The HIGH band of an rfft2 half spectrum, back in space; masks `spectrum` in place.
+def _high_band(
+    values: np.ndarray, band: tuple[int, np.ndarray], scratch: tuple[np.ndarray, np.ndarray], out: np.ndarray
+) -> None:
+    """Write the HIGH band of one frame's `values` (channels, height, width) into out.
 
-    `high` is _high_half_bins for `size`. It takes the spectrum rather than
-    the values, so a caller's temporary input is freed before the inverse
-    transform allocates its output.
+    band is _high_half_bins for the frame's extents, scratch _band_scratch's
+    pair for its shape. The rows take np.fft.rfft in full; np.fft.fft, the
+    mask and np.fft.ifft run down the columns from band's first on only,
+    and the columns before it, all LOW, enter np.fft.irfft as zeros. These
+    are the 1-D transforms rfft2 and irfft2 run column by column, so every
+    nonzero value keeps their bits. The column transforms go through a
+    contiguous buffer: on a 4x128x128 frame (Xeon, numpy 2.4.6) the mask
+    took 49 us on the spectrum's strided columns and 22 us there.
+
+    When columns are skipped, a frame with |value| >= float max /
+    (2 height width), or a non-finite one, could overflow a DFT sum in a
+    skipped column, which the unpruned pair turns into a non-finite frame
+    (inf * 0 is nan). Such a frame takes the columns from 0, exactly
+    rfft2's and irfft2's transforms, so it fails or not as they do. The
+    test is two reductions that allocate nothing; a band that already
+    starts at column 0 skips it.
     """
-    spectrum *= high
-    return np.fft.irfft2(spectrum, s=size)
+    first, high = band
+    spectrum, buffer = scratch
+    channels, height, width = values.shape
+    if first:
+        bound = _FLOAT_MAX / (2 * height * width)
+        if not (values.max() < bound and -values.min() < bound):
+            first = 0
+    count = spectrum.shape[-1] - first
+    columns = buffer[: channels * height * count].reshape(channels, height, count)
+    np.fft.rfft(values, axis=-1, out=spectrum)
+    np.fft.fft(spectrum[..., first:], axis=-2, out=columns)
+    columns *= high[:, first:]
+    np.fft.ifft(columns, axis=-2, out=spectrum[..., first:])
+    spectrum[..., :first] = 0.0
+    np.fft.irfft(spectrum, n=width, axis=-1, out=out)
+
+
+def _band_scratch(frame_shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """_high_band's complex scratch for frames of `frame_shape`: a half spectrum and a flat buffer its size."""
+    spectrum = np.empty((*frame_shape[:-1], frame_shape[-1] // 2 + 1), dtype=np.complex128)
+    return spectrum, np.empty(spectrum.size, dtype=np.complex128)
 
 
 def freq_decompose(x: LatentField, rho: float) -> FreqSplit:
     """Split into LOW / HIGH components with a per-frame, per-channel 2D DFT.
 
     Bins with normalized radial frequency above rho * r_max form HIGH (see
-    _high_half_bins; the DC bin never does), taken by one real transform
-    pair per frame, the frames split across CPUs by run_chunks. LOW is
-    x - HIGH, so low + high reconstructs x up to rounding. The temporal axis
-    is untouched.
+    _high_half_bins; the DC bin never does), taken by _high_band one frame
+    at a time: the rows' real transforms in full, the column transforms
+    over the band's columns only, which is every column below rho =
+    1/sqrt(2). The frames are split across CPUs by
+    run_chunks. LOW is x - HIGH, so low + high reconstructs x up to
+    rounding. The temporal axis is untouched.
     """
     rho = _require_unit(rho, "rho")
-    size = x.data.shape[2:]
-    bins = _high_half_bins(*size, rho)
+    band = _high_half_bins(*x.data.shape[2:], rho)
     low, high = np.empty_like(x.data), np.empty_like(x.data)
 
     def split(lo: int, hi: int) -> None:
+        scratch = _band_scratch(x.data.shape[1:])
         with _numeric_stage():
             for f in range(lo, hi):
-                high[f] = _high_band(np.fft.rfft2(x.data[f]), bins, size)
+                _high_band(x.data[f], band, scratch, high[f])
                 np.subtract(x.data[f], high[f], out=low[f])
             _require_finite(low[lo:hi])
             _require_finite(high[lo:hi])
@@ -349,7 +417,7 @@ def freq_decompose(x: LatentField, rho: float) -> FreqSplit:
 
 def hf_transfer(
     z_edit: LatentField,
-    z_src: LatentField,
+    z_src: LatentField | PathPoint,
     mask: Mask,
     hf_lambda: float,
     rho: float,
@@ -358,28 +426,42 @@ def hf_transfer(
 
     Returns LF(z_edit) + lambda*M*HF(z_src) + (1 - lambda*M)*HF(z_edit).
     LF + HF is the identity and HF is linear, so this is computed as
-    z_edit + lambda*M*HF(z_src - z_edit) with the real transform pair
-    freq_decompose also takes, one frame at a time, the frames split across
-    CPUs by run_chunks. lambda == 0 returns z_edit itself (bitwise
-    identity); a zero mask and transferring a field onto itself return
-    z_edit's values exactly.
+    z_edit + lambda*M*HF(z_src - z_edit) through _high_band, the operator
+    freq_decompose takes, one frame at a time, the frames split across CPUs
+    by run_chunks. z_src may be an unbuilt PathPoint: each range then
+    builds its own frames of it with lerp_noise's operations, so the bits
+    are those of z_src = lerp_noise(z0, eps, t) and no source stack is
+    built. lambda == 0 returns z_edit itself (bitwise identity); a zero
+    mask and transferring a field onto itself return z_edit's values
+    exactly.
     """
-    _require_same_shape(z_edit, z_src, "hf_transfer")
+    if isinstance(z_src, PathPoint) and z_src.endpoint is not None:
+        z_src = z_src.endpoint
+    point = z_src if isinstance(z_src, PathPoint) else None
+    _require_same_shape(z_edit, z_src if point is None else point.z0, "hf_transfer")
     _require_mask_fits(mask, z_edit, "hf_transfer")
     hf_lambda = _require_unit(hf_lambda, "hf_lambda")
     rho = _require_unit(rho, "rho")
     if hf_lambda == 0.0:
         return z_edit
-    size = z_edit.data.shape[2:]
-    bins = _high_half_bins(*size, rho)
+    band = _high_half_bins(*z_edit.data.shape[2:], rho)
     out = np.empty_like(z_edit.data)
 
     def transfer(lo: int, hi: int) -> None:
+        values = np.empty_like(z_edit.data[0])
+        scratch = _band_scratch(values.shape)
+        weight = np.empty_like(mask.data[0])
         with _numeric_stage():
             for f in range(lo, hi):
-                detail = _high_band(np.fft.rfft2(z_src.data[f] - z_edit.data[f]), bins, size)
-                detail *= hf_lambda * mask.data[f]
-                np.add(detail, z_edit.data[f], out=out[f])
+                if point is None:
+                    np.subtract(z_src.data[f], z_edit.data[f], out=values)
+                else:
+                    point.write(f, values, out[f])  # out[f] is free until the band is written there
+                    np.subtract(values, z_edit.data[f], out=values)
+                _high_band(values, band, scratch, out[f])
+                np.multiply(hf_lambda, mask.data[f], out=weight)
+                out[f] *= weight
+                out[f] += z_edit.data[f]
             _require_finite(out[lo:hi])
 
     run_chunks(transfer, len(out))

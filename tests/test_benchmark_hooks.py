@@ -74,13 +74,14 @@ def test_benchmark_hooks_resolve(tmp_path):
     assert {name: c["render_target"] for name, c in point.items()} == {
         "generate": 1, "edit": 3, "flowedit": 3, "equivalence": 3,
     }
-    # one real transform pair per frame, counted on the pool's threads too: the desk edit
-    # transfers detail after each of its 20 steps on 2 frames, and a 3-component scene mixture
-    # draws the noise and 2 perturbations and low-passes each perturbation through freq_decompose
-    assert counts["edit"]["fft_transforms"] == 20 * 2 * 2
+    # four 1-D transforms per frame (the rows' rfft and irfft, the band columns' fft and ifft),
+    # counted on the pool's threads too: the desk edit transfers detail after each of its 20 steps
+    # on 2 frames, and a 3-component scene mixture draws the noise and 2 perturbations and
+    # low-passes each perturbation through freq_decompose
+    assert counts["edit"]["fft_transforms"] == 20 * 2 * 4
     mixture = counts["generate-mixture"]
     assert (mixture["freq_decompose"], mixture["sample_noise"]) == (2, 3)
-    assert mixture["fft_transforms"] == 2 * 2 * 2
+    assert mixture["fft_transforms"] == 2 * 2 * 4
     # its dataset stacks the components without building a field per row; its noise, its
     # perturbations' split and every step's stages are wrapped without a LatentField construction,
     # so the render and the two perturbed components are the only ones

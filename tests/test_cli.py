@@ -1,6 +1,9 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -36,6 +39,20 @@ src.illum = 1.0, 0.0, 0.0, 0.2
 src.agnostic = 5, 3, 0.5
 tar.illum = 2.0, 0.3, 0.8, 0.6
 tar.agnostic = 5, 3, 0.5
+"""
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+# runs `edit` in a fresh process; with "one", on one CPU set before rcflow.rng sizes its pool
+ONE_CPU_SCRIPT = """
+import os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import rcflow.rng
+from rcflow.cli import main
+print(rcflow.rng._WORKERS)
+sys.exit(main(["edit", "--config", sys.argv[2], "--out", sys.argv[3]]))
 """
 
 
@@ -363,6 +380,28 @@ class TestDeterminism:
         assert run(command, config, tmp_path / "r1") == 0
         assert run(command, config, tmp_path / "r2") == 0
         assert tree_bytes(tmp_path / "r1") == tree_bytes(tmp_path / "r2")
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a CPU affinity mask")
+    def test_edit_files_do_not_depend_on_the_cpu_count(self, tmp_path):
+        # one CPU runs the band operator's frames as one range; the default splits 4 frames across CPUs
+        text = BASE_CONFIG.replace("field = mixture", "field = point").replace("frames = 2", "frames = 4")
+        text = text.replace("channels = 1", "channels = 2").replace("height = 16", "height = 32")
+        config = write_config(tmp_path, text.replace("width = 16", "width = 32"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+        workers = {}
+        for mode in ("one", "default"):
+            result = subprocess.run(
+                [sys.executable, "-c", ONE_CPU_SCRIPT, mode, str(config), str(tmp_path / mode)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            workers[mode] = int(result.stdout.split()[0])
+        assert workers["one"] == 1
+        if workers["default"] == 1:
+            pytest.skip("this process may run on one CPU only, so both runs would take one range")
+        files = tree_bytes(tmp_path / "one")
+        assert {"output.fps", "metrics.txt", "frame_0003.pgm"} <= set(files)
+        assert files == tree_bytes(tmp_path / "default")
 
     def test_mask_zeros_lambda_zero_edit_equals_generate(self, tmp_path):
         text = BASE_CONFIG.replace("mask = scene", "mask = zeros")

@@ -3,7 +3,7 @@
 Extents run from 1 to 5, so odd and length-1 axes are common; schedules
 have 1 to 12 steps between strictly increasing knots; masks are
 fractional. Every case runs on the point field or the scene mixture,
-except the faithful-relighting case, which needs the point field's closed
+except the faithful-relighting cases, which need the point field's closed
 form.
 """
 
@@ -11,6 +11,7 @@ import math
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -139,3 +140,39 @@ def test_point_field_relights_faithfully(case):
     output = run_edit(point_field(scene), z0, src, tar, eps, config).output
     t_src, t_tar = render_target(scene, src).data, render_target(scene, tar).data
     assert rel_error(output, LatentField(t_tar + mask.data * (z0.data - t_src))) <= 1e-12
+
+
+def _last_refresh_knot(schedule: Schedule, r: int) -> float:
+    """The knot where the last step's cached residual was computed: the smallest i >= 1 with (N - i) mod r == 0."""
+    n = schedule.steps
+    return float(schedule.knots[min(i for i in range(1, n + 1) if (n - i) % r == 0)])
+
+
+STEPS = 12
+CHARACTERISED_SCHEDULES = {
+    "uniform": make_uniform_schedule(STEPS),
+    "random": Schedule([0.0, *np.sort(np.random.default_rng(11).uniform(1e-3, 1.0, STEPS - 1)), 1.0]),
+    "quadratic": Schedule((np.arange(STEPS + 1) / STEPS) ** 2),
+}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, STEPS])
+@pytest.mark.parametrize("name", sorted(CHARACTERISED_SCHEDULES))
+def test_point_field_edit_keeps_the_last_refresh_share_of_the_departure(name, r):
+    """With the point field and no detail transfer, the edit is T_tar + (t_1/t_c) * M * (z0 - T_src).
+
+    The Euler factors t_{j-1}/t_j telescope to 0, so only the last step's
+    correction survives: t_1 times the residual (z0 - T_src)/t_c cached at
+    the knot t_c of the last refresh. This characterises today's reuse rule,
+    refreshing where (N - i) mod r == 0, on an input off the data manifold.
+    """
+    schedule = CHARACTERISED_SCHEDULES[name]
+    shape = Shape(2, 2, 5, 4)
+    scene = ToyScene(shape)
+    t_src, t_tar = render_target(scene, SRC).data, render_target(scene, TAR).data
+    z0 = LatentField(t_src + 0.1 * sample_noise(21, shape).data)
+    mask = Mask(np.random.default_rng(12).uniform(0.0, 1.0, (2, 1, 5, 4)))
+    config = _config(schedule, mask, r, 0.0, 0.8)
+    output = run_edit(point_field(scene), z0, SRC, TAR, sample_noise(22, shape), config).output
+    share = schedule.knots[1] / _last_refresh_knot(schedule, r)
+    assert rel_error(output, LatentField(t_tar + share * mask.data * (z0.data - t_src))) <= 1e-12

@@ -363,6 +363,80 @@ def signed_field(seed, shape):
     return LatentField(values)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("rho", [0.0, 0.25, 0.8, 1.0])
+@pytest.mark.parametrize("shape", [(3, 2, 17, 9), (1, 1, 1, 1), (2, 1, 1, 7)])
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 1.0])
+def test_transfer_from_a_path_point_is_the_built_sources(monkeypatch, workers, rho, shape, t):
+    # each range builds its own frames of the point, with lerp_noise's operations: same bits
+    monkeypatch.setattr(rng, "_WORKERS", workers)
+    z0, eps, z_edit = (signed_field(seed, shape).data.copy() for seed in (60, 61, 62))
+    eps.reshape(-1)[1::3] = -0.0  # -0.0 where z0 holds a value, and in both at every 15th
+    z_edit.reshape(-1)[2::4] = -0.0
+    z0, eps, z_edit = LatentField(z0), LatentField(eps), LatentField(z_edit)
+    mask = Mask(np.abs(random_field(63, (shape[0], 1, *shape[2:])).data) % 1.0)
+    expected = hf_transfer(z_edit, lerp_noise(z0, eps, t), mask, 0.6, rho)
+    assert hf_transfer(z_edit, latent.PathPoint(z0, eps, t), mask, 0.6, rho).data.tobytes() == expected.data.tobytes()
+
+
+def test_path_point_checks_its_operands():
+    z = random_field(64, (2, 1, 4, 4))
+    with pytest.raises(ShapeMismatchError, match="lerp_noise"):
+        latent.PathPoint(z, random_field(65, (2, 1, 4, 5)), 0.5)
+    with pytest.raises(ValueError, match="t must lie"):
+        latent.PathPoint(z, z, 1.5)
+    with pytest.raises(ShapeMismatchError, match="hf_transfer"):
+        hf_transfer(random_field(66, (2, 1, 4, 5)), latent.PathPoint(z, z, 0.5), Mask.ones(z.shape), 0.5, 0.5)
+
+
+def guarded_frames(shape):
+    """Frame 0 holds one value at twice the guard bound beside an all -0.0 channel; frame 1 is plain.
+
+    The guard sends frame 0 through the whole transform pair, whose exactly-zero
+    HIGH values in the -0.0 channel differ in sign from the pruned pair's.
+    """
+    height, width = shape[2:]
+    values = random_field(67, shape).data.copy()
+    values[0, 0] = -0.0
+    values[0, 1, 3, 2] = np.finfo(np.float64).max / (height * width)
+    return LatentField(values)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_frame_above_the_guard_bound_keeps_the_unpruned_bytes(monkeypatch, workers):
+    monkeypatch.setattr(rng, "_WORKERS", workers)
+    x = guarded_frames((2, 2, 16, 16))
+    high = whole_stack_high_band(x.data, 0.8)
+    assert np.all(np.isfinite(high))
+    split = freq_decompose(x, 0.8)
+    assert split.high.data.tobytes() == high.tobytes()
+    assert split.low.data.tobytes() == (x.data - high).tobytes()
+    zero = LatentField(np.zeros(x.data.shape))
+    expected = whole_stack_high_band(x.data - zero.data, 0.8)
+    expected *= 0.5
+    expected += zero.data
+    assert hf_transfer(zero, x, Mask.ones(x.shape), 0.5, 0.8).data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("rho", [0.5, 0.8])
+def test_an_overflow_in_a_skipped_column_fails_as_the_unpruned_pair(monkeypatch, workers, rho):
+    # a constant 1e307 16x16 frame overflows only its DC bin, which is LOW: the unpruned pair
+    # turns it into nan (inf * 0) across the frame, and so must the operator, whether it prunes
+    # (rho 0.8) or its band starts at column 0 and it runs without the overflow test (rho 0.5)
+    monkeypatch.setattr(rng, "_WORKERS", workers)
+    values = random_field(68, (2, 1, 16, 16)).data.copy()
+    values[1] = 1e307
+    x = LatentField(values)
+    with _numeric_stage():
+        assert not np.all(np.isfinite(whole_stack_high_band(x.data, rho)[1]))
+    with pytest.raises(NumericError, match="non-finite"):
+        freq_decompose(x, rho)
+    zero = LatentField(np.zeros(x.data.shape))
+    with pytest.raises(NumericError, match="non-finite"):
+        hf_transfer(zero, latent.PathPoint(zero, x, 1.0), Mask.ones(x.shape), 0.5, rho)
+
+
 class AffineField(VelocityField):
     """v = 0.5 z + gain: elementwise arithmetic of the test's own, so only rcflow's stages split."""
 
