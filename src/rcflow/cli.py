@@ -16,7 +16,11 @@ equivalence or identity check.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
+import shutil
 import sys
+import tempfile
 import time
 from functools import cached_property
 from pathlib import Path
@@ -68,10 +72,30 @@ def _out_dir(cfg: cfgmod.ExperimentConfig) -> Path:
 
 
 def _write_run_outputs(out: Path, command: str, field, nfe: int, **metrics) -> None:
-    write_stack(out / "output.fps", field)
-    lo, hi = export_frames(out, field)
-    text = key_values(nfe=nfe, **metrics, export_channel=0, export_min=lo, export_max=hi)
-    write_text(out / "metrics.txt", text)
+    """Write output.fps, the frames and metrics.txt into out as one set.
+
+    Every file is first written into a temporary directory inside out. Only
+    once all are written, and no target is a directory, do they replace
+    their targets, and the frame files of an earlier, longer run go. A
+    failure before the first replace leaves every old file as it was.
+    """
+    staging = Path(tempfile.mkdtemp(prefix=".run.", suffix=".tmp", dir=out))
+    try:
+        write_stack(staging / "output.fps", field)
+        lo, hi = export_frames(staging, field)
+        text = key_values(nfe=nfe, **metrics, export_channel=0, export_min=lo, export_max=hi)
+        write_text(staging / "metrics.txt", text)
+        names = sorted(p.name for p in staging.iterdir())
+        for name in names:
+            if (out / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+        for name in names:
+            os.replace(staging / name, out / name)
+    finally:
+        shutil.rmtree(staging)
+    for stale in out.glob("frame_*.pgm"):
+        if stale.name not in names and stale.is_file():
+            stale.unlink()
     print(f"{command}: nfe={nfe} out={out}")
 
 

@@ -90,21 +90,21 @@ def _as_field_array(data: np.ndarray | list, *, what: str = "field") -> np.ndarr
         raise ShapeMismatchError(f"{what} must have 4 axes (frames, channels, height, width), got {arr.ndim}")
     if min(arr.shape) < 1:
         raise ShapeMismatchError(f"{what} has an empty axis: {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{what} contains non-finite values")
+    with _numeric_stage():
+        _require_finite(arr, what)
     arr.flags.writeable = False
     return arr
 
 
-def _require_finite(values: np.ndarray) -> None:
-    """Raise LatentField's NumericError unless every value is finite; call it inside a _numeric_stage.
+def _require_finite(values: np.ndarray, what: str = "field") -> None:
+    """Raise NumericError naming `what` unless every value is finite; call it inside a _numeric_stage.
 
     A finite sum needs every value finite, and summing allocates nothing.
     Only a sum that is not finite, an overflowing sum of finite values
     included, takes the exact test and its boolean mask.
     """
     if not np.isfinite(values.sum()) and not np.all(np.isfinite(values)):
-        raise NumericError("field contains non-finite values")
+        raise NumericError(f"{what} contains non-finite values")
 
 
 class _FrozenStack:

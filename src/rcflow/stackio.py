@@ -4,12 +4,24 @@ Stack files are plain ASCII: a `FPSTACK 1 <frames> <channels> <height>
 <width>` header line followed by the row-major payload, one pixel row per
 line, 9 significant digits per value. Diff-able, endian-free, and round
 trips within 1e-6 relative, which is all the desk-scale experiments need.
+
+read_stack reads a file's bytes once and has two readers. numpy's C text
+reader (np.loadtxt) takes an ASCII file whose rows all hold the same
+number of tokens, ended by "\\n" or "\\r\\n", and whose tokens it all
+converts, to as many values as the header promises; it converts each token
+as float() does. Every other file (uneven rows, a lone "\\r", a token such
+as "1_0" that only float() takes, a count mismatch, a non-ASCII byte) goes
+to the line reader, parse_stack's, on the text Path.read_text gives. So
+both readers give the same values, and every error message, and which one
+a file with several faults gets, is the line reader's.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
+import re
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -81,15 +93,8 @@ def _lines(text: str) -> Iterator[str]:
         start = end + 1
 
 
-def parse_stack(text: str, *, source: str = "<string>") -> LatentField:
-    """Parse a stack file's text; a malformed header or payload raises ConfigError.
-
-    The payload is converted one line at a time into a preallocated array
-    (numpy parses each token as `float()` does), so no Python object per
-    value is kept for the whole stack.
-    """
-    lines = _lines(text)
-    first = next(lines)
+def _header(first: str, source: str) -> tuple[int, int, int, int]:
+    """The extents a stack file's first line declares; a malformed one raises ConfigError."""
     if not first.strip():
         raise ConfigError(f"{source}: empty stack file")
     header = first.split()
@@ -101,7 +106,19 @@ def parse_stack(text: str, *, source: str = "<string>") -> LatentField:
         raise ConfigError(f"{source}: non-integer extent in header") from exc
     if min(f, c, h, w) < 1:
         raise ConfigError(f"{source}: extents must be positive, got {f} {c} {h} {w}")
-    expected = f * c * h * w
+    return f, c, h, w
+
+
+def _line_values(text: str, source: str) -> np.ndarray:
+    """The line reader: a stack file's values, shaped as its header says; a malformed file raises ConfigError.
+
+    The payload is converted one line at a time into a preallocated array
+    (numpy parses each token as `float()` does), so no Python object per
+    value is kept for the whole stack.
+    """
+    lines = _lines(text)
+    shape = _header(next(lines), source)
+    expected = math.prod(shape)
     # every token takes at least one character, so a header that promises
     # more values than text has characters gets no array of its size
     values = np.empty(min(expected, len(text)))
@@ -120,16 +137,70 @@ def parse_stack(text: str, *, source: str = "<string>") -> LatentField:
         raise ConfigError(f"{source}: header promises {expected} values, payload has {count}")
     if numeric_error is not None:
         raise ConfigError(f"{source}: non-numeric payload value") from numeric_error
-    return LatentField(values.reshape(f, c, h, w))
+    return values.reshape(shape)
 
 
-def read_stack(path: str | os.PathLike) -> LatentField:
-    return parse_stack(Path(path).read_text(encoding="ascii"), source=str(path))
+def parse_stack(text: str, *, source: str = "<string>") -> LatentField:
+    """Parse a stack file's text; a malformed header or payload raises ConfigError."""
+    return LatentField(_line_values(text, source))
+
+
+# a byte that str.split does not split on; numpy's reader splits on the same ASCII bytes, save a lone "\r"
+_TOKEN_BYTE = re.compile(rb"[^\t\n\x0b\x0c\r\x1c-\x1f ]")
+_REST_OF_LINE = re.compile(rb"[^\n]*")
+
+
+def _c_reader_values(raw: bytes, source: str) -> np.ndarray | None:
+    """A stack file's values from numpy's C text reader, or None where the line reader must decide.
+
+    np.loadtxt converts each token with PyOS_string_to_double, as float()
+    does, and splits lines only at "\\n" and "\\r\\n". It takes an ASCII file
+    whose first line holds no other "\\r", whose payload holds a token (an
+    empty one would only warn), and whose tokens it all converts, in rows
+    of one length, to exactly the number of values the header promises.
+    On any other file it gives None, so that every error, and its
+    precedence, is the line reader's. Rows of one length hold a multiple
+    of the first row's tokens, so a file wrapped at a width that does not
+    divide the count goes to the line reader before numpy converts it all
+    only to stop at its short last row.
+    """
+    end = raw.find(b"\n")
+    if end < 0 or not raw.isascii():
+        return None
+    first = raw[:end].removesuffix(b"\r")
+    token = _TOKEN_BYTE.search(raw, end + 1)
+    if b"\r" in first or token is None:
+        return None
+    shape = _header(first.decode("ascii"), source)
+    expected = math.prod(shape)
+    if expected % len(_REST_OF_LINE.match(raw, token.start()).group().split()):
+        return None
+    try:
+        with io.BytesIO(raw) as stream:
+            values = np.loadtxt(stream, skiprows=1, comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    return values.reshape(shape) if values.size == expected else None
+
+
+def read_stack(path: str | os.PathLike, kind: type[LatentField | Mask] = LatentField) -> LatentField | Mask:
+    """Read a stack file as a LatentField, or as `kind` built from its values.
+
+    The file is read once. numpy's C reader takes the files it can; every
+    other file goes to the line reader on the text Path.read_text(encoding="ascii")
+    gives, which raises every error parse_stack raises on it.
+    """
+    source = str(path)
+    raw = Path(path).read_bytes()
+    values = _c_reader_values(raw, source)
+    if values is None:
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="ascii") as text:
+            values = _line_values(text.read(), source)
+    return kind(values)
 
 
 def read_mask(path: str | os.PathLike) -> Mask:
-    field = read_stack(path)
-    return Mask(field.data)
+    return read_stack(path, Mask)
 
 
 def write_pgm(path: str | os.PathLike, frame: np.ndarray, lo: float, hi: float) -> None:

@@ -478,6 +478,20 @@ class TestCliContract:
         assert metrics["bg_change_rms"] == float(f"{bg_change_rms(output, edited, mask):.9g}")
         assert metrics["fg_structure_score"] == float(f"{fg_structure_score(output, edited, mask):.9g}")
 
+    def test_input_read_by_either_reader_gives_the_same_run(self, tmp_path):
+        # numpy's reader takes the canonical file; "\r\n" endings and uneven breaks go to the line reader
+        write_stack(tmp_path / "input.fps", sample_noise(21, Shape(2, 1, 16, 16)))
+        header, *rows = (tmp_path / "input.fps").read_text().splitlines()
+        tokens = " ".join(rows).split()
+        uneven = [" ".join(tokens[i : i + 7]) for i in range(0, len(tokens), 7)]
+        (tmp_path / "crlf.fps").write_bytes("\r\n".join([header, *uneven, "", ""]).encode("ascii"))
+        text = BASE_CONFIG.replace("steps = 50", "steps = 10") + "fe_noise = fresh\n"
+        canonical = write_config(tmp_path, text + "input = input.fps\n")
+        crlf = write_config(tmp_path, text + "input = crlf.fps\n", name="crlf.cfg")
+        assert run("flowedit", canonical, tmp_path / "a") == 0
+        assert run("flowedit", crlf, tmp_path / "b") == 0
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
     def test_paths_resolve_against_the_config_directory(self, tmp_path):
         write_stack(tmp_path / "input.fps", sample_noise(21, Shape(2, 1, 16, 16)))
         (tmp_path / "cfg").mkdir()
@@ -502,6 +516,33 @@ class TestCliContract:
         config = write_config(tmp_path, BASE_CONFIG.replace("steps = 50", "steps = 10"))
         assert run(command, config, tmp_path / out) == 2
         assert capsys.readouterr().err.startswith("config error: key 'out_dir': ")
+
+    @pytest.mark.parametrize("command", ["generate", "edit"])
+    def test_blocked_run_leaves_every_old_file(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, BASE_CONFIG.replace("steps = 50", "steps = 10"))
+        out = tmp_path / "o"
+        assert run(command, config, out) == 0
+        (out / "frame_0001.pgm").unlink()
+        (out / "frame_0001.pgm").mkdir()
+        before = tree_bytes(out)
+        capsys.readouterr()
+        # every file of the rerun differs from the old one, so a half-landed set would show
+        assert run(command, config, out, "--lambda", "0.1", "--seed", "8") == 2
+        assert capsys.readouterr().err.startswith("config error: key 'out_dir': ")
+        assert tree_bytes(out) == before
+        assert sorted(p.name for p in out.iterdir()) == sorted([*before, "frame_0001.pgm"])
+
+    def test_shorter_rerun_leaves_exactly_its_own_frames(self, tmp_path):
+        text = BASE_CONFIG.replace("steps = 50", "steps = 10").replace("field = mixture", "field = point")
+        config = write_config(tmp_path, text.replace("frames = 2", "frames = 4"))
+        assert run("edit", config, tmp_path / "o") == 0
+        assert (tmp_path / "o" / "frame_0003.pgm").exists()
+        short = write_config(tmp_path, text, name="short.cfg")
+        assert run("edit", short, tmp_path / "o") == 0
+        assert run("edit", short, tmp_path / "fresh") == 0
+        files = tree_bytes(tmp_path / "o")
+        assert sorted(files) == ["frame_0000.pgm", "frame_0001.pgm", "metrics.txt", "output.fps"]
+        assert files == tree_bytes(tmp_path / "fresh")
 
     @pytest.mark.parametrize(
         "key,shape",
@@ -537,6 +578,9 @@ class TestCliContract:
         (tmp_path / "bad.fps").write_bytes(text.encode("latin-1"))
         config = write_config(tmp_path, BASE_CONFIG.replace("mask = scene\n", "") + lines)
         assert run("edit", config, tmp_path / "bad") == 2
+        if key == "mask" and bad == "nan":
+            # a mask file's values are checked once, by the Mask they are read as
+            reason = "mask contains non-finite values"
         assert capsys.readouterr().err.startswith(f"config error: key '{key}': {reason}")
 
     @pytest.mark.parametrize(

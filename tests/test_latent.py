@@ -61,9 +61,18 @@ class TestShape:
 
 
 class TestLatentField:
-    def test_rejects_non_finite(self):
-        with pytest.raises(NumericError):
-            LatentField(np.full((1, 1, 2, 2), np.nan))
+    @pytest.mark.parametrize("cls,what", [(LatentField, "field"), (Mask, "mask")])
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf], [0.5, np.nan, 0.5]])
+    def test_rejects_non_finite(self, cls, what, bad):
+        values = np.zeros((1, 1, 2, 2))
+        values.flat[: len(bad)] = bad
+        with pytest.raises(NumericError, match=f"^{what} contains non-finite values$"):
+            cls(values)
+
+    def test_accepts_finite_values_whose_sum_overflows(self):
+        # the sum is inf, so the exact test decides, under a stage that warns of nothing
+        values = np.array([1e308, 1e308, -1e308, -1e308]).reshape(1, 1, 2, 2)
+        assert_array_equal(LatentField(values).data, values)
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeMismatchError):

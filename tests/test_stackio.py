@@ -213,6 +213,107 @@ def test_parse_matches_per_value_reader_on_any_text(header, payload):
     assert parse_outcome(parse_stack, text) == parse_outcome(per_value_parse_stack, text)
 
 
+# both halfway subnormals round to even, as float() rounds them
+EDGE_TOKENS = [
+    "-0", "5e-324", "2.4703282292062327e-324", "7.4109846876186982e-324", "1e400", "-1e400", "nan", "-NaN",
+    "infinity", "-inf", ".5", "5.", "+5", "0.30000000000000001665", "123456789012345678901234567890",
+]
+# float() takes "1_0" and numpy's reader does not; neither takes the others
+BAD_TOKENS = ["1_0", "#", "1#2", "0x10", "1e", "\xff"]
+
+
+@st.composite
+def stack_file_bytes(draw):
+    """A stack file as bytes: any line endings, even or uneven rows, edge tokens, at most one bad token."""
+    # mostly a header of 6 values and 6 tokens, so that many files parse
+    header = draw(st.sampled_from([
+        *["FPSTACK 1 1 1 2 3", "FPSTACK 1 3 1 2 1"] * 3,
+        "FPSTACK 1 100000 100000 100000 100000", "FPSTACK 1 0 1 1 1", "FPSTACK 1 2 x", "", " \t",
+    ]))
+    count = draw(st.sampled_from([0, 5, 7, *[6] * 5]))
+    token = st.one_of(st.floats().map(repr), st.sampled_from(EDGE_TOKENS))
+    tokens = draw(st.lists(token, min_size=count, max_size=count))
+    bad = draw(st.sampled_from([None, None, None, *BAD_TOKENS]))
+    if bad is not None and tokens:
+        tokens[draw(st.integers(0, len(tokens) - 1))] = bad
+    newlines = st.sampled_from(["\n", "\r\n", "\r"])
+    space = draw(st.sampled_from([" ", "\t", "\x0b", "\x0c", " \t ", "\xa0"]))
+    if draw(st.booleans()):
+        width = draw(st.sampled_from([1, 2, 3]))
+        rows = [space.join(tokens[i : i + width]) for i in range(0, len(tokens), width)]
+        ends = [draw(newlines)] * (len(rows) + 1)
+    else:
+        # uneven breaks and mixed line endings; a repeated cut makes a blank line
+        cuts = sorted(draw(st.lists(st.integers(0, len(tokens)), max_size=4)))
+        bounds = [0, *cuts, len(tokens)]
+        rows = [space.join(tokens[a:b]) for a, b in zip(bounds, bounds[1:])]
+        ends = draw(st.lists(newlines, min_size=len(rows) + 1, max_size=len(rows) + 1))
+    lines = [header, *rows]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.removesuffix(ends[-1])
+    return text.encode("latin-1")
+
+
+def read_outcome(read, path):
+    """The bytes a reader returns, or the type and message of what it raises."""
+    try:
+        return read(path).data.tobytes()
+    except (ConfigError, NumericError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+
+
+def read_by_lines(path):
+    return parse_stack(path.read_text(encoding="ascii"), source=str(path))
+
+
+@settings(deadline=None, max_examples=300)
+@given(raw=stack_file_bytes())
+def test_read_stack_matches_the_line_reader(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("stack") / "stack.fps"
+    path.write_bytes(raw)
+    assert read_outcome(read_stack, path) == read_outcome(read_by_lines, path)
+
+
+@pytest.mark.parametrize(
+    "raw,c_reader",
+    [
+        (b"FPSTACK 1 1 1 2 3\n1 2 3\n4 5 6\n", True),
+        (b"FPSTACK 1 1 1 2 3\r\n1 2 3\r\n4 5 6", True),
+        (b"FPSTACK 1 1 1 2 3\n\n1\t2\x0b3\n\n4 5\x0c6\n\n", True),
+        (b"FPSTACK 1 1 1 2 3\n1 2 3 4 5 6", True),
+        (b"FPSTACK 1 1 1 2 3\r1 2 3\r4 5 6\r", False),
+        (b"FPSTACK 1 1 1 2 3\n1 2\r3 4\n5 6\n", False),
+        (b"FPSTACK 1 1 1 2 3\n1 2 3 4\n5 6\n", False),
+        (b"FPSTACK 1 1 1 2 3\n1_0 2 3\n4 5 6\n", False),
+    ],
+    ids=["canonical", "crlf", "blank-lines-and-whitespace", "one-row", "cr", "lone-cr", "uneven", "underscore"],
+)
+def test_reader_taking_a_file(tmp_path, monkeypatch, raw, c_reader):
+    path = tmp_path / "stack.fps"
+    path.write_bytes(raw)
+    line_reads = []
+    line_values = stackio._line_values
+    monkeypatch.setattr(stackio, "_line_values", lambda *args: line_reads.append(args) or line_values(*args))
+    expected = [10.0, 2, 3, 4, 5, 6] if b"1_0" in raw else [1.0, 2, 3, 4, 5, 6]
+    assert read_stack(path).data.ravel().tolist() == expected
+    assert bool(line_reads) is not c_reader
+
+
+def test_wrapped_file_with_a_short_last_row_skips_numpy(tmp_path, monkeypatch):
+    # rows of 2 cannot hold 7 values evenly; numpy would convert every row before it met the short one
+    path = tmp_path / "stack.fps"
+    path.write_bytes(b"FPSTACK 1 1 1 1 7\n1 2\n3 4\n5 6\n7\n")
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: pytest.fail("np.loadtxt was called"))
+    assert read_stack(path).data.ravel().tolist() == [1.0, 2, 3, 4, 5, 6, 7]
+
+
+def test_read_mask_is_checked_as_a_mask(tmp_path):
+    (tmp_path / "mask.fps").write_bytes(b"FPSTACK 1 1 1 1 2\n0.5 nan\n")
+    with pytest.raises(NumericError, match="^mask contains non-finite values$"):
+        read_mask(tmp_path / "mask.fps")
+
+
 def test_read_mask_validates_range(tmp_path):
     field = LatentField(np.full((1, 1, 2, 2), 2.0))
     path = tmp_path / "notmask.fps"
